@@ -15,6 +15,10 @@
 // Nyx-Net-balanced with and without FuzzerConfig::fault_injection on the
 // same targets, summarized to BENCH_fault_ablation.json (override:
 // NYX_BENCH_OUT) — the with/without coverage delta is the headline number.
+//
+// Every campaign also has a 3 s wall cap. Configurations with a campaign the
+// cap cut short are named on stderr, and the JSON counts the ablation's
+// capped campaigns in wall_capped_cells: their numbers depend on host speed.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,6 +35,25 @@
 
 namespace nyx {
 namespace {
+
+// Names on stderr each configuration with a wall-capped campaign; returns
+// how many campaigns the cap cut short.
+size_t ReportWallCapped(const std::vector<std::vector<CampaignResult>>& grid,
+                        const std::vector<std::string>& labels) {
+  size_t capped = 0;
+  for (size_t c = 0; c < grid.size(); c++) {
+    size_t n = 0;
+    for (const CampaignResult& r : grid[c]) {
+      n += r.wall_capped ? 1 : 0;
+    }
+    if (n > 0) {
+      fprintf(stderr, "[fig5] wall cap cut %zu of %zu runs of %s\n", n, grid[c].size(),
+              labels[c].c_str());
+    }
+    capped += n;
+  }
+  return capped;
+}
 
 std::vector<std::string> TargetSelection() {
   if (env::StringOr("NYX_FIG5_TARGETS", "") == "all") {
@@ -76,6 +99,7 @@ int main() {
   }
   fprintf(stderr, "[fig5] %zu campaigns on %zu jobs...\n", configs.size() * runs, EvalJobs());
   const std::vector<std::vector<CampaignResult>> grid = RunCampaignGrid(configs, runs);
+  ReportWallCapped(grid, labels);
 
   for (size_t c = 0; c < configs.size(); c++) {
     if (grid[c].empty()) {
@@ -95,8 +119,10 @@ int main() {
   // exercises, so the expectation is coverage(on) >= coverage(off).
   const std::vector<std::string> ablation_targets = TargetSelection();
   std::vector<CampaignSpec> fconfigs;
+  std::vector<std::string> flabels;
   for (const std::string& target : ablation_targets) {
     for (bool faults : {false, true}) {
+      flabels.push_back(target + (faults ? ",with-faults" : ",no-faults"));
       CampaignSpec cs;
       cs.target = target;
       cs.fuzzer = FuzzerKind::kNyxBalanced;
@@ -108,6 +134,7 @@ int main() {
   }
   fprintf(stderr, "[fig5] fault ablation: %zu campaigns...\n", fconfigs.size() * runs);
   const std::vector<std::vector<CampaignResult>> fgrid = RunCampaignGrid(fconfigs, runs);
+  const size_t wall_capped_cells = ReportWallCapped(fgrid, flabels);
 
   auto median_branches = [](const std::vector<CampaignResult>& results) {
     std::vector<double> cov;
@@ -128,6 +155,8 @@ int main() {
   fprintf(out, "  \"fuzzer\": \"Nyx-Net-balanced\",\n");
   fprintf(out, "  \"runs\": %zu,\n", runs);
   fprintf(out, "  \"vtime_seconds\": %.1f,\n", vtime);
+  fprintf(out, "  \"jobs\": %zu,\n", EvalJobs());
+  fprintf(out, "  \"wall_capped_cells\": %zu,\n", wall_capped_cells);
   fprintf(out, "  \"targets\": {\n");
   for (size_t t = 0; t < ablation_targets.size(); t++) {
     const std::vector<CampaignResult>& off = fgrid[t * 2];

@@ -10,6 +10,10 @@
 // out across NYX_JOBS workers. Besides the text table, a machine-readable
 // summary is written to BENCH_throughput.json (override: NYX_BENCH_OUT) so
 // CI can track throughput over time.
+//
+// Every campaign also has a 3 s wall cap. A cell with a campaign the cap cut
+// short is marked '*' in the table and counted in the JSON's
+// wall_capped_cells: its virtual-time numbers depend on host speed.
 
 #include <algorithm>
 #include <chrono>
@@ -72,6 +76,7 @@ int main() {
   std::vector<std::vector<double>> per_fuzzer_eps(fuzzers.size());
   uint64_t pages_audited = 0;
   uint64_t audit_divergences = 0;
+  size_t wall_capped_cells = 0;
   for (size_t t = 0; t < row_targets.size(); t++) {
     std::vector<std::string> row = {row_targets[t]};
     for (size_t i = 0; i < fuzzers.size(); i++) {
@@ -81,17 +86,24 @@ int main() {
         continue;
       }
       std::vector<double> eps;
+      bool capped = false;
       for (const auto& r : results) {
         eps.push_back(r.execs_per_vsecond);
         per_fuzzer_eps[i].push_back(r.execs_per_vsecond);
         pages_audited += r.pages_audited;
         audit_divergences += r.audit_divergences;
+        wall_capped_cells += r.wall_capped ? 1 : 0;
+        capped |= r.wall_capped;
       }
-      row.push_back(Fmt(Mean(eps), 1) + " +/- " + Fmt(StdDev(eps), 1));
+      row.push_back(Fmt(Mean(eps), 1) + " +/- " + Fmt(StdDev(eps), 1) + (capped ? "*" : ""));
     }
     table.AddRow(std::move(row));
   }
   table.Print();
+  if (wall_capped_cells > 0) {
+    printf("\n* the 3 s wall cap cut %zu campaign(s) short; those cells depend on host speed\n",
+           wall_capped_cells);
+  }
 
   // Machine-readable summary for CI trend tracking.
   const std::string out_path = env::StringOr("NYX_BENCH_OUT", "BENCH_throughput.json");
@@ -103,6 +115,7 @@ int main() {
     fprintf(out, "  \"vtime_seconds\": %.1f,\n", vtime);
     fprintf(out, "  \"jobs\": %zu,\n", jobs);
     fprintf(out, "  \"wall_seconds\": %.3f,\n", wall_seconds);
+    fprintf(out, "  \"wall_capped_cells\": %zu,\n", wall_capped_cells);
     fprintf(out, "  \"execs_per_vsecond\": {\n");
     for (size_t i = 0; i < fuzzers.size(); i++) {
       fprintf(out, "    \"%s\": {\"mean\": %.1f, \"stddev\": %.1f, \"cells\": %zu}%s\n",
@@ -143,7 +156,10 @@ int main() {
       cs.limits.vtime_seconds = std::min(vtime, 5.0);
       cs.limits.wall_seconds = 3.0;
       fprintf(stderr, "[table3] phase breakdown: %s...\n", nc.name);
-      RunCampaign(cs);
+      if (RunCampaign(cs).result.wall_capped) {
+        fprintf(stderr, "[table3] phase breakdown: %s was cut short by the wall cap\n",
+                nc.name);
+      }
       if (!UpdatePhaseBreakdown(phase_out, nc.name, PhaseBreakdownSection())) {
         telemetry::SetTelemetryEnabled(was_enabled);
         return 1;

@@ -281,7 +281,8 @@ CampaignResult BaselineFuzzer::Run(const CampaignLimits& limits) {
       return true;
     }
     const auto wall = std::chrono::steady_clock::now() - wall_start;
-    return std::chrono::duration<double>(wall).count() >= limits.wall_seconds;
+    result.wall_capped = std::chrono::duration<double>(wall).count() >= limits.wall_seconds;
+    return result.wall_capped;
   };
 
   auto run_one = [&](const Program& input) {

@@ -103,7 +103,8 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
       return true;
     }
     const auto wall = std::chrono::steady_clock::now() - wall_start;
-    return std::chrono::duration<double>(wall).count() >= limits.wall_seconds;
+    result.wall_capped = std::chrono::duration<double>(wall).count() >= limits.wall_seconds;
+    return result.wall_capped;
   };
   auto record_coverage = [&] {
     const double t = vnow();
@@ -248,6 +249,10 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   result.faults_injected = engine_.net().faults_injected();
   result.faulted_bytes = engine_.net().faulted_bytes();
   result.semantic_dupes = corpus_.semantic_dupes();
+  const GuestMemory& mem = engine_.vm().mem();
+  result.dirty_traps = mem.tracker().total_marks();
+  result.protect_calls = mem.protect_calls();
+  result.pinned_pages = mem.pinned_pages();
   if (engine_.auditor() != nullptr) {
     result.pages_audited = engine_.auditor()->stats().pages_audited;
     result.audit_divergences = engine_.auditor()->stats().divergences;

@@ -62,6 +62,16 @@ struct CampaignResult {
   // analyzer checks performed (FuzzerConfig::analyze_check).
   uint64_t semantic_dupes = 0;
   uint64_t analyze_checks = 0;
+  // Dirty tracking of a NyxFuzzer campaign's VM (src/vm/guest_memory.h):
+  // first-write traps (DirtyTracker::total_marks), protection-change
+  // syscalls, and pages pinned open at the end. A steady-state loop that
+  // still traps shows up here as traps growing with execs.
+  uint64_t dirty_traps = 0;
+  uint64_t protect_calls = 0;
+  uint64_t pinned_pages = 0;
+  // CampaignLimits::wall_seconds ended the run before its other limits did,
+  // so the virtual-time results depend on host speed.
+  bool wall_capped = false;
   TimeSeries coverage_over_time;  // (vtime seconds, branch coverage)
   TimeSeries execs_over_time;     // (vtime seconds, cumulative execs)
   std::map<uint32_t, CrashRecord> crashes;

@@ -1,8 +1,9 @@
 #include "src/fuzz/guest.h"
 
-#include <csignal>
+#include <pthread.h>
 #include <setjmp.h>
 
+#include <csignal>
 #include <cstring>
 
 #include "src/common/telemetry.h"
@@ -138,6 +139,14 @@ bool OnUnresolvedFault() {
     return false;  // fault outside a guarded Step: genuinely fatal
   }
   t_step_armed = 0;
+  // GuardedStep's sigsetjmp does not save the signal mask (that would cost
+  // an rt_sigprocmask per Step), so leaving the handler by siglongjmp keeps
+  // SIGSEGV blocked. Unblock it here, or the next fault on this thread, a
+  // dirty-tracking trap included, would kill the process.
+  sigset_t segv;
+  sigemptyset(&segv);
+  sigaddset(&segv, SIGSEGV);
+  pthread_sigmask(SIG_UNBLOCK, &segv, nullptr);
   siglongjmp(t_step_jmp, 1);
 }
 
@@ -158,7 +167,8 @@ bool GuardedStep(Target& target, GuestContext& ctx) {
   // into this frame, and a scope opened after the setjmp would be jumped
   // over without its destructor, leaking a phase-stack frame.
   telemetry::ScopedPhase phase(telemetry::Phase::kGuestRun);
-  if (sigsetjmp(t_step_jmp, 1) != 0) {
+  // savemask 0: the crash path restores the mask itself (OnUnresolvedFault).
+  if (sigsetjmp(t_step_jmp, 0) != 0) {
     // Landed here from the SIGSEGV handler: the target walked off the map.
     ctx.Crash(kCrashWildSegv, "segv-wild-access");
     return false;

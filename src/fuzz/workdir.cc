@@ -158,6 +158,11 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   reg.RegisterCounter("root_restores")->Add(result.root_restores);
   reg.RegisterCounter("inc_creates")->Add(result.incremental_creates);
   reg.RegisterCounter("inc_restores")->Add(result.incremental_restores);
+  // Dirty tracking: traps and protection syscalls should stop growing once
+  // the pages every exec writes are pinned open (DESIGN.md §12).
+  reg.RegisterCounter("dirty_traps")->Add(result.dirty_traps);
+  reg.RegisterCounter("protect_calls")->Add(result.protect_calls);
+  reg.RegisterGauge("pinned_pages")->Set(result.pinned_pages);
   const ContractCounters contracts = GetContractCounters();
   reg.RegisterCounter("contract_soft")->Add(contracts.soft_failures);
   reg.RegisterCounter("contract_hard")->Add(contracts.hard_failures);
@@ -193,7 +198,8 @@ std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
   static const char* kOrder[] = {
       "execs",         "vtime_seconds", "execs_per_vsec", "branch_coverage",
       "edge_coverage", "corpus_size",   "crashes",        "root_restores",
-      "inc_creates",   "inc_restores",  "contract_soft",  "contract_hard",
+      "inc_creates",   "inc_restores",  "dirty_traps",    "protect_calls",
+      "pinned_pages",  "contract_soft", "contract_hard",
       "pages_audited", "divergences",   "faults_injected", "faulted_bytes",
       "semantic_dupes", "analyze_checks", "lock_acquired", "lock_contended",
   };

@@ -520,7 +520,11 @@ TrackingMode TrackingModeFromName(const std::string& name, TrackingMode def) {
 }
 
 TrackingMode TrackingModeFromEnv(TrackingMode def) {
-  return TrackingModeFromName(env::Tracker(), def);
+  const TrackingMode mode = TrackingModeFromName(env::Tracker(), def);
+  NYX_CHECK(mode != TrackingMode::kSoftware)
+      << "NYX_TRACKER=software: software tracking never sees a target's direct "
+         "stores, so restores would leave them in place; use mprotect, uffd or softdirty";
+  return mode;
 }
 
 void RawProtect(void* addr, size_t len, int prot) {

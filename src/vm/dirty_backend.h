@@ -17,7 +17,7 @@
 //               scan per sync (O(#pages) read, no faults at all).
 //   kSoftware   no hardware tracking: dirty marks come only from the
 //               explicit GuestMemory::Write()/Memset() accessors (unit
-//               tests of tracker logic).
+//               tests of tracker logic; NYX_TRACKER cannot select it).
 //
 // Every backend feeds the same preallocated DirtyTracker stack, so snapshot
 // capture/restore code is backend-agnostic and Clear() stays O(#dirty).
@@ -51,7 +51,9 @@ const char* TrackingModeName(TrackingMode mode);
 TrackingMode TrackingModeFromName(const std::string& name, TrackingMode def);
 // Reads NYX_TRACKER; `def` when unset. This is the only place the knob is
 // resolved — bare GuestMemory construction keeps its compile-time default so
-// unit tests of one specific backend are immune to the environment.
+// unit tests of one specific backend are immune to the environment. Dies on
+// "software": a campaign under it would look normal while every restore
+// misses the target's direct stores.
 TrackingMode TrackingModeFromEnv(TrackingMode def);
 
 // The sanctioned raw mprotect wrapper for *non-tracking* protection changes

@@ -1,5 +1,7 @@
 #include "src/vm/dirty_tracker.h"
 
+#include <utility>
+
 #include "src/common/check.h"
 
 namespace nyx {
@@ -39,11 +41,18 @@ void DirtyTracker::MarkDirty(uint32_t page) {
   }
 }
 
+void DirtyTracker::Pin(size_t index) {
+  NYX_DCHECK_LE(pinned_, index);
+  NYX_DCHECK_LT(index, stack_size_);
+  std::swap(stack_[index], stack_[pinned_]);
+  pinned_++;
+}
+
 void DirtyTracker::Clear() {
-  for (size_t i = 0; i < stack_size_; i++) {
+  for (size_t i = pinned_; i < stack_size_; i++) {
     bitmap_[stack_[i]] = 0;
   }
-  stack_size_ = 0;
+  stack_size_ = pinned_;
   ring_fill_ = 0;
 }
 

@@ -11,6 +11,10 @@
 // Both structures are kept here so the two restore strategies can be compared
 // head-to-head (Figure 6). All storage is preallocated because MarkDirty is
 // called from a SIGSEGV handler and must not allocate.
+//
+// The bottom of the stack may hold *pinned* pages (GuestMemory pins pages
+// that every epoch dirties, DESIGN.md §12): they stay dirty across Clear()
+// until UnpinAll(), so every capture and restore keeps copying them.
 
 #ifndef SRC_VM_DIRTY_TRACKER_H_
 #define SRC_VM_DIRTY_TRACKER_H_
@@ -44,10 +48,24 @@ class DirtyTracker {
   const uint32_t* stack_data() const { return stack_.data(); }
   size_t stack_size() const { return stack_size_; }
 
-  // Zero-copy view of the dirty stack, in dirtying order. Valid until the
-  // next MarkDirty/Clear; snapshot capture and restores iterate this
-  // directly instead of copying the set.
+  // Zero-copy view of the dirty stack: pinned pages first, then the rest in
+  // dirtying order. Valid until the next MarkDirty/Pin/Clear; snapshot
+  // capture and restores iterate this directly instead of copying the set.
   std::span<const uint32_t> dirty() const { return {stack_.data(), stack_size_}; }
+
+  // The dirty pages above the pinned prefix: what a re-arm must protect.
+  std::span<const uint32_t> unpinned() const {
+    return {stack_.data() + pinned_, stack_size_ - pinned_};
+  }
+
+  // Pins the unpinned entry at `index` (pinned_count() <= index <
+  // stack_size()) by swapping it to the top of the pinned prefix. A pinned
+  // page stays dirty across Clear().
+  void Pin(size_t index);
+  size_t pinned_count() const { return pinned_; }
+  // Returns every pinned page to the ordinary dirty set; the next Clear()
+  // drops them like any other dirty page.
+  void UnpinAll() { pinned_ = 0; }
 
   // AGAMOTTO-style access: scan the whole one-byte-per-page bitmap. O(#pages).
   template <typename Fn>
@@ -60,7 +78,7 @@ class DirtyTracker {
   }
 
   // Clears only the entries named by the stack — the trick that makes Nyx
-  // resets independent of VM size.
+  // resets independent of VM size. Pinned entries stay.
   void Clear();
 
   size_t num_pages() const { return bitmap_.size(); }
@@ -75,6 +93,7 @@ class DirtyTracker {
   std::vector<uint8_t> bitmap_;  // 1 byte per page, like KVM's log.
   std::vector<uint32_t> stack_;  // preallocated to num_pages.
   size_t stack_size_ = 0;
+  size_t pinned_ = 0;  // stack_[0, pinned_) are pinned
   size_t ring_capacity_;
   size_t ring_fill_ = 0;
   uint64_t ring_exits_ = 0;

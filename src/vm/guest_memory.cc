@@ -5,6 +5,7 @@
 #include <string.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -122,7 +123,8 @@ GuestMemory::GuestMemory(size_t num_pages, TrackingMode mode, size_t dirty_ring_
       requested_mode_(mode),
       mode_(mode),
       tracker_(num_pages, dirty_ring_capacity),
-      opened_(num_pages, 0) {
+      opened_(num_pages, 0),
+      dirty_epochs_(num_pages, 0) {
   // One extra PROT_NONE guard page so a target running off the end of guest
   // memory faults immediately and deterministically instead of silently
   // reading whatever mapping happens to be adjacent. The guard page is never
@@ -158,7 +160,9 @@ GuestMemory::~GuestMemory() {
 
 void GuestMemory::ArmTracking() {
   NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
+  tracker_.UnpinAll();
   tracker_.Clear();
+  std::fill(dirty_epochs_.begin(), dirty_epochs_.end(), 0);
   armed_ = true;
   opened_count_ = 0;
   backend_->Arm();
@@ -188,20 +192,34 @@ void GuestMemory::OpenForRestore(const uint32_t* pages, size_t n) {
   backend_->OpenPages(opened_.data() + start, opened_count_ - start);
 }
 
+void GuestMemory::PinHotPages() {
+  // Pin(i) swaps entry i with the first unpinned one, which this loop has
+  // already visited, so every entry is counted exactly once.
+  const uint32_t* stack = tracker_.stack_data();
+  for (size_t i = tracker_.pinned_count(); i < tracker_.stack_size(); i++) {
+    uint8_t& epochs = dirty_epochs_[stack[i]];
+    if (epochs < kPinAfter) {
+      epochs++;
+    }
+    if (epochs == kPinAfter && tracker_.pinned_count() < kMaxPinnedPages) {
+      tracker_.Pin(i);
+    }
+  }
+}
+
 void GuestMemory::SealAfterRestore() {
-  NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
-  backend_->ReArmPages(tracker_.stack_data(), tracker_.stack_size());
   if (opened_count_ > 0) {
     backend_->ReArmPages(opened_.data(), opened_count_);
     opened_count_ = 0;
   }
-  tracker_.Clear();
-  armed_ = true;
+  ReArmDirtyPages();
 }
 
 void GuestMemory::ReArmDirtyPages() {
   NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
-  backend_->ReArmPages(tracker_.stack_data(), tracker_.stack_size());
+  PinHotPages();
+  const std::span<const uint32_t> rearm = tracker_.unpinned();
+  backend_->ReArmPages(rearm.data(), rearm.size());
   tracker_.Clear();
   armed_ = true;
 }

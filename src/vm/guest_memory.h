@@ -16,9 +16,18 @@
 //   <read tracker, decide pages>
 //   OpenForRestore(pages, n);       // make protected pages writable,
 //   <memcpy snapshot content in>    //   without polluting the dirty log
-//   SealAfterRestore();             // re-protect opened+dirty, clear, re-arm
+//   SealAfterRestore();             // pin hot pages, re-protect opened +
+//                                   //   unpinned dirty, clear, re-arm
 // The old per-page mprotect toggle pair around each copy is gone: opening
 // and sealing coalesce runs of pages into single syscalls.
+//
+// Pinned pages (DESIGN.md §12). Each Seal/ReArm ends an epoch. A page dirty
+// in kPinAfter epochs since the last ArmTracking is pinned: it stays
+// writable and dirty from then on, at the bottom of the tracker's stack, and
+// is left out of every re-protect list. Restores and captures copy it like
+// any dirty page, so reverting stays exact, but writes to it never trap
+// again. Invariant: tracker dirt ⊇ pinned set. ArmTracking unpins every
+// page and protects it again.
 
 #ifndef SRC_VM_GUEST_MEMORY_H_
 #define SRC_VM_GUEST_MEMORY_H_
@@ -85,14 +94,27 @@ class GuestMemory {
   // closing SealAfterRestore().
   void OpenForRestore(const uint32_t* pages, size_t n);
 
-  // Re-protects everything OpenForRestore opened plus the currently dirty
-  // pages, clears the tracker and re-arms. Completes the restore protocol.
+  // Re-protects everything OpenForRestore opened, then ReArmDirtyPages().
+  // Completes the restore protocol.
   void SealAfterRestore();
 
-  // Re-protects exactly the currently dirty pages and clears the tracker
-  // (cheap re-arm after a capture, when nothing was opened). Callers that
-  // read the tracker first must SyncDirty() before this on passive backends.
+  // Ends an epoch: pins the pages that reached kPinAfter dirty epochs,
+  // re-protects exactly the unpinned dirty pages and clears the tracker
+  // (pinned pages stay dirty). Alone, it is the cheap re-arm after a
+  // capture, when nothing was opened. Callers that read the tracker first
+  // must SyncDirty() before this on passive backends.
   void ReArmDirtyPages();
+
+  // A trap costs ~8-9 µs per page (SIGSEGV, mprotect in the handler,
+  // mprotect at re-arm) against ~50 ns to copy a page left open, so pinning
+  // breaks even at about one write per 160 epochs. Eight dirty epochs single
+  // out the pages every exec writes (target state, heap meta) and leave
+  // pages that only set-up or rare paths write to trap.
+  static constexpr uint8_t kPinAfter = 8;
+  // Bounds what a stale pin set can cost: 32 needless page copies (~1.6 µs)
+  // per restore or capture, a fifth of one trap.
+  static constexpr size_t kMaxPinnedPages = 32;
+  size_t pinned_pages() const { return tracker_.pinned_count(); }
 
   DirtyTracker& tracker() { return tracker_; }
   const DirtyTracker& tracker() const { return tracker_; }
@@ -122,6 +144,10 @@ class GuestMemory {
   uint64_t protect_calls() const { return protect_calls_.load(std::memory_order_relaxed); }
 
  private:
+  // Counts the ending epoch for every unpinned dirty page and pins those
+  // that reach kPinAfter while fewer than kMaxPinnedPages are pinned.
+  void PinHotPages();
+
   uint8_t* base_ = nullptr;
   size_t num_pages_;
   TrackingMode requested_mode_;
@@ -137,6 +163,9 @@ class GuestMemory {
   // preallocated so restores never allocate.
   std::vector<uint32_t> opened_;
   size_t opened_count_ = 0;
+  // Per page: epochs it was dirty in since ArmTracking, saturating at
+  // kPinAfter.
+  std::vector<uint8_t> dirty_epochs_;
   // A region with fault-driven tracking must live its whole life on the
   // thread that constructed it (the SIGSEGV handler only resolves faults for
   // regions owned by the faulting thread — DESIGN.md §8.1). Debug builds

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,6 +49,17 @@ TEST(TrackingModeTest, UnknownOrEmptyNameFallsBackToDefault) {
 TEST(TrackingModeTest, BaselineModesAlwaysAvailable) {
   EXPECT_TRUE(TrackingModeAvailable(TrackingMode::kMprotect));
   EXPECT_TRUE(TrackingModeAvailable(TrackingMode::kSoftware));
+}
+
+TEST(TrackingModeDeathTest, SoftwareFromEnvDiesNamingTheKnob) {
+  // Software tracking never sees a target's direct stores, so a campaign
+  // under it must not start. The knob is set in the death-test child only.
+  EXPECT_DEATH(
+      {
+        setenv("NYX_TRACKER", "software", 1);
+        TrackingModeFromEnv(TrackingMode::kMprotect);
+      },
+      "NYX_TRACKER=software");
 }
 
 TEST(DirtyBackendTest, RingCapacityConfigurableAndExported) {
@@ -147,6 +160,108 @@ TEST_P(BackendModeTest, ReArmAfterCaptureTracksAgain) {
   mem.SyncDirty();
   EXPECT_TRUE(mem.tracker().IsDirty(3));
   EXPECT_EQ(mem.tracker().stack_size(), 1u);
+}
+
+// Ends one epoch after dirtying `pages`: odd epochs re-arm after a capture,
+// even ones seal after a restore, so both paths count towards pinning.
+void DirtyEpoch(GuestMemory& mem, std::initializer_list<uint32_t> pages, int epoch) {
+  for (uint32_t p : pages) {
+    mem.base()[static_cast<size_t>(p) * kPageSize] = static_cast<uint8_t>(epoch + 1);
+  }
+  mem.SyncDirty();
+  if (epoch % 2 != 0) {
+    mem.ReArmDirtyPages();
+  } else {
+    mem.SealAfterRestore();
+  }
+}
+
+TEST_P(BackendModeTest, HotPagePinsOpenUntilArmTracking) {
+  SKIP_IF_UNAVAILABLE(GetParam());
+  const bool fault_driven = GetParam() != TrackingMode::kSoftDirty;
+  GuestMemory mem(16, GetParam());
+  ASSERT_EQ(mem.mode(), GetParam());
+  mem.ArmTracking();
+  for (int e = 0; e + 1 < GuestMemory::kPinAfter; e++) {
+    DirtyEpoch(mem, {4, 7}, e);
+    ASSERT_EQ(mem.pinned_pages(), 0u) << "epoch " << e;
+    ASSERT_EQ(mem.tracker().stack_size(), 0u);
+  }
+  DirtyEpoch(mem, {4}, GuestMemory::kPinAfter);
+  ASSERT_EQ(mem.pinned_pages(), 1u);
+  // Pinned: dirty across the re-arm, page 7 (one epoch short) is not.
+  ASSERT_EQ(mem.tracker().stack_size(), 1u);
+  EXPECT_EQ(mem.tracker().dirty()[0], 4u);
+  EXPECT_FALSE(mem.tracker().IsDirty(7));
+
+  // Writable without marks or protection calls, and dirty across every Seal
+  // and ReArm. Soft-dirty resets its log wholesale at each re-arm, whatever
+  // the list, so only the fault-driven backends hold protect calls flat.
+  const uint64_t marks = mem.tracker().total_marks();
+  const uint64_t calls = mem.protect_calls();
+  for (int e = 0; e < 4; e++) {
+    mem.base()[4 * kPageSize + 1] = static_cast<uint8_t>(0x40 + e);
+    mem.SyncDirty();
+    EXPECT_EQ(mem.tracker().total_marks(), marks);
+    if (fault_driven) {
+      EXPECT_EQ(mem.protect_calls(), calls);
+    }
+    const uint32_t restore[] = {4};
+    mem.OpenForRestore(restore, 1);  // dirty, so never opened
+    if (e % 2 != 0) {
+      mem.ReArmDirtyPages();
+    } else {
+      mem.SealAfterRestore();
+    }
+    EXPECT_TRUE(mem.tracker().IsDirty(4));
+    EXPECT_EQ(mem.base()[4 * kPageSize + 1], 0x40 + e);
+  }
+  if (fault_driven) {
+    EXPECT_EQ(mem.protect_calls(), calls);
+  }
+
+  // A new root unpins it and protects it again: the next write is a mark,
+  // and pinning starts over.
+  mem.ArmTracking();
+  EXPECT_EQ(mem.pinned_pages(), 0u);
+  EXPECT_EQ(mem.tracker().stack_size(), 0u);
+  mem.base()[4 * kPageSize] = 1;
+  mem.SyncDirty();
+  EXPECT_TRUE(mem.tracker().IsDirty(4));
+  EXPECT_EQ(mem.tracker().total_marks(), marks + 1);
+  mem.ReArmDirtyPages();
+  for (int e = 0; e + 2 < GuestMemory::kPinAfter; e++) {
+    DirtyEpoch(mem, {4}, e);
+  }
+  EXPECT_EQ(mem.pinned_pages(), 0u);
+  DirtyEpoch(mem, {4}, 0);
+  EXPECT_EQ(mem.pinned_pages(), 1u);
+}
+
+TEST_P(BackendModeTest, AtMostMaxPinnedPagesPin) {
+  SKIP_IF_UNAVAILABLE(GetParam());
+  constexpr size_t kExtra = 5;
+  constexpr size_t kPages = GuestMemory::kMaxPinnedPages + kExtra;
+  GuestMemory mem(kPages, GetParam());
+  ASSERT_EQ(mem.mode(), GetParam());
+  mem.ArmTracking();
+  for (int e = 0; e < 2 * GuestMemory::kPinAfter; e++) {
+    for (uint32_t p = 0; p < kPages; p++) {
+      mem.base()[static_cast<size_t>(p) * kPageSize] = static_cast<uint8_t>(e);
+    }
+    mem.SyncDirty();
+    mem.SealAfterRestore();
+  }
+  EXPECT_EQ(mem.pinned_pages(), GuestMemory::kMaxPinnedPages);
+  EXPECT_EQ(mem.tracker().stack_size(), GuestMemory::kMaxPinnedPages);
+  // The pages past the cap keep trapping every epoch.
+  const uint64_t marks = mem.tracker().total_marks();
+  for (uint32_t p = 0; p < kPages; p++) {
+    mem.base()[static_cast<size_t>(p) * kPageSize] = 0xff;
+  }
+  mem.SyncDirty();
+  EXPECT_EQ(mem.tracker().total_marks(), marks + kExtra);
+  EXPECT_EQ(mem.tracker().stack_size(), kPages);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, BackendModeTest, ::testing::ValuesIn(kHardwareModes),

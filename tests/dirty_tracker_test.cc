@@ -106,6 +106,37 @@ TEST(DirtyTrackerTest, DirtySpanViewsStack) {
   EXPECT_TRUE(t.dirty().empty());
 }
 
+TEST(DirtyTrackerTest, PinnedPagesSitAtTheBottomAndSurviveClear) {
+  DirtyTracker t(16);
+  t.MarkDirty(4);
+  t.MarkDirty(2);
+  t.MarkDirty(9);
+  t.Pin(2);  // page 9 swaps to the bottom
+  ASSERT_EQ(t.pinned_count(), 1u);
+  EXPECT_EQ(t.dirty()[0], 9u);
+  ASSERT_EQ(t.unpinned().size(), 2u);
+  EXPECT_EQ(t.unpinned()[0], 2u);
+  EXPECT_EQ(t.unpinned()[1], 4u);
+
+  t.Clear();
+  ASSERT_EQ(t.stack_size(), 1u);
+  EXPECT_EQ(t.dirty()[0], 9u);
+  EXPECT_TRUE(t.IsDirty(9));
+  EXPECT_FALSE(t.IsDirty(4));
+  EXPECT_TRUE(t.unpinned().empty());
+  // A pinned page is never marked again.
+  const uint64_t marks = t.total_marks();
+  t.MarkDirty(9);
+  EXPECT_EQ(t.total_marks(), marks);
+
+  t.UnpinAll();
+  EXPECT_EQ(t.pinned_count(), 0u);
+  EXPECT_TRUE(t.IsDirty(9));  // still dirty until the next clear
+  t.Clear();
+  EXPECT_EQ(t.stack_size(), 0u);
+  EXPECT_FALSE(t.IsDirty(9));
+}
+
 TEST(DirtyTrackerTest, ConfigurableRingCapacity) {
   DirtyTracker t(256, 8);
   EXPECT_EQ(t.ring_capacity(), 8u);

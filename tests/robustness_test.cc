@@ -130,5 +130,70 @@ TEST(FaultGuardTest, WildStepBecomesCrash) {
   EXPECT_FALSE(r2.crash.crashed);
 }
 
+TEST(FaultGuardTest, RepeatedWildStepsLeaveTrackingFaultsWorking) {
+  // GuardedStep saves no signal mask, so each crash leaves the SIGSEGV
+  // handler by siglongjmp with SIGSEGV still blocked unless the guard
+  // unblocks it. A blocked SIGSEGV makes the kernel kill the process at the
+  // next fault: the second wild access below, or the first-write trap on a
+  // never-written page after it.
+  constexpr uint32_t kFreshPage = 40;
+  class WildOrWriteTarget final : public Target {
+   public:
+    TargetInfo info() const override {
+      TargetInfo ti;
+      ti.name = "wild-or-write";
+      ti.transport = SockKind::kDgram;
+      ti.port = 1;
+      return ti;
+    }
+    void Init(GuestContext& ctx) override {
+      int fd = ctx.net().Socket(SockKind::kDgram);
+      ctx.net().Bind(fd, 1);
+      *ctx.State<int>() = fd;
+    }
+    void Step(GuestContext& ctx) override {
+      uint8_t buf[8];
+      if (ctx.net().Recv(*ctx.State<int>(), buf, sizeof(buf)) <= 0) {
+        return;
+      }
+      if (buf[0] == 'w') {
+        ctx.mem().base()[static_cast<size_t>(kFreshPage) * kPageSize] = 0x77;
+        return;
+      }
+      volatile uint8_t sink = 0;
+      const uint8_t* end = ctx.mem().base() + ctx.mem().size_bytes();
+      for (size_t i = 0; i < 1 << 20; i++) {
+        sink = sink + end[i];
+      }
+      (void)sink;
+    }
+  };
+
+  Spec spec = Spec::GenericNetwork();
+  EngineConfig cfg;
+  cfg.vm.mem_pages = 64;
+  NyxEngine engine(cfg, [] { return std::unique_ptr<Target>(new WildOrWriteTarget()); }, spec);
+  engine.Boot();
+  auto run = [&](const char* packet) {
+    Builder b(spec);
+    b.Packet(b.Connection(), packet);
+    CoverageMap cov;
+    return engine.Run(*b.Build(), cov);
+  };
+  for (int i = 0; i < 2; i++) {
+    const ExecResult r = run("go");
+    ASSERT_TRUE(r.crash.crashed) << "crash " << i;
+    EXPECT_EQ(r.crash.crash_id, kCrashWildSegv);
+  }
+  ASSERT_FALSE(engine.vm().mem().tracker().IsDirty(kFreshPage));
+  const ExecResult w = run("w");
+  EXPECT_FALSE(w.crash.crashed);
+  EXPECT_TRUE(engine.vm().mem().tracker().IsDirty(kFreshPage));
+  EXPECT_EQ(engine.vm().mem().base()[static_cast<size_t>(kFreshPage) * kPageSize], 0x77);
+  // The next exec's restore reverts the trapped page.
+  EXPECT_TRUE(run("go").crash.crashed);
+  EXPECT_EQ(engine.vm().mem().base()[static_cast<size_t>(kFreshPage) * kPageSize], 0);
+}
+
 }  // namespace
 }  // namespace nyx

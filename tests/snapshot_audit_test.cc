@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 
 #include "src/common/telemetry.h"
 #include "src/common/trace.h"
@@ -140,6 +141,34 @@ TEST(SnapshotAuditTest, DeepSnapshotTreeReplaysDivergenceFree) {
   EXPECT_TRUE(r2.used_incremental);
   EXPECT_GT(engine.vm_stats().deep_restores, 0u);
   EXPECT_EQ(engine.auditor()->stats().divergences, 0u);
+}
+
+TEST(SnapshotAuditTest, PinnedPagesReplayDivergenceFree) {
+  // Campaigns long enough for the pages every exec writes to pin open
+  // (GuestMemory::kPinAfter). A pinned page never traps, so only its place
+  // in the dirty set gets it reverted: the run-twice oracle must stay clean
+  // at the classic depth and in a depth-3 tree.
+  const std::optional<TargetRegistration> reg = FindTarget("lightftp");
+  ASSERT_TRUE(reg.has_value());
+  const Spec spec = reg->make_spec();
+  for (size_t depth : {1, 3}) {
+    EngineConfig cfg = AuditedConfig();
+    cfg.vm.snapshot_depth = depth;
+    FuzzerConfig fcfg;
+    fcfg.policy = PolicyMode::kBalanced;
+    NyxFuzzer fuzzer(cfg, reg->factory, spec, fcfg);
+    for (const Program& s : reg->make_seeds(spec)) {
+      fuzzer.AddSeed(s);
+    }
+    CampaignLimits limits = ShortLimits();
+    limits.vtime_seconds = 60.0;
+    limits.max_execs = 80;
+    CampaignResult result = fuzzer.Run(limits);
+    EXPECT_GT(result.pinned_pages, 0u) << "depth " << depth;
+    EXPECT_GT(result.incremental_restores, 0u) << "depth " << depth;
+    EXPECT_GT(result.pages_audited, 0u) << "depth " << depth;
+    EXPECT_EQ(result.audit_divergences, 0u) << "depth " << depth;
+  }
 }
 
 TEST(SnapshotAuditTest, PartialChainMatchThenRepushStaysDivergenceFree) {

@@ -210,7 +210,10 @@ TEST(SnapshotTreeTest, DepthOneEquivalentToClassicPair) {
 }
 
 // Shadow-model property: random interleavings of writes, pushes and restores
-// against a full-image model of every captured state.
+// against a full-image model of every captured state. Half the writes land
+// on two hot pages, as a target's state struct does, so those pages pin
+// open (GuestMemory::kPinAfter) early and the rest of the run checks
+// ancestor and forward restores with pinned pages in the dirty set.
 class SnapshotTreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
@@ -225,11 +228,15 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
   images[0].resize(bytes);
   memcpy(images[0].data(), vm.mem().base(), bytes);
   size_t valid_depth = 0;  // deepest d with a trusted image
+  size_t pinned_ancestor_restores = 0;
+  size_t pinned_forward_restores = 0;
 
-  for (int step = 0; step < 400; step++) {
+  for (int step = 0; step < 1500; step++) {
     const uint64_t action = rng.Below(10);
     if (action < 5) {
-      vm.mem().base()[rng.Below(bytes)] = rng.NextByte();
+      const uint64_t off = rng.Chance(1, 2) ? (1 + rng.Below(2)) * kPageSize + rng.Below(kPageSize)
+                                            : rng.Below(bytes);
+      vm.mem().base()[off] = rng.NextByte();
     } else if (action < 7 && vm.cur_depth() < kDepth) {
       const size_t d = vm.PushSnapshot();
       images[d].resize(bytes);
@@ -237,6 +244,9 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
       valid_depth = d;
     } else if (action < 9 && valid_depth > 0) {
       const size_t target = rng.Below(valid_depth + 1);  // 0..valid_depth
+      if (vm.mem().pinned_pages() > 0 && target != vm.cur_depth()) {
+        (target > vm.cur_depth() ? pinned_forward_restores : pinned_ancestor_restores)++;
+      }
       if (target == 0) {
         vm.RestoreRoot();
         valid_depth = 0;
@@ -251,6 +261,9 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
       ASSERT_EQ(0, memcmp(vm.mem().base(), images[0].data(), bytes)) << "step " << step;
     }
   }
+  EXPECT_GT(vm.mem().pinned_pages(), 0u);
+  EXPECT_GT(pinned_ancestor_restores, 0u);
+  EXPECT_GT(pinned_forward_restores, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotTreePropertyTest,

@@ -97,6 +97,9 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   result.execs = 1234;
   result.vtime_seconds = 5.0;
   result.branch_coverage = 42;
+  result.dirty_traps = 7;
+  result.protect_calls = 9;
+  result.pinned_pages = 2;
   CrashRecord rec;
   rec.kind = "test-crash";
   rec.count = 3;
@@ -108,12 +111,25 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   EXPECT_EQ(wd->LoadCrashes(spec).size(), 1u);
   FILE* stats = fopen((base_ + "/c/stats.txt").c_str(), "r");
   ASSERT_NE(stats, nullptr);
-  char buf[512];
+  char buf[2048];
   size_t n = fread(buf, 1, sizeof(buf) - 1, stats);
   buf[n] = '\0';
   fclose(stats);
   EXPECT_NE(std::string(buf).find("execs            1234"), std::string::npos);
   EXPECT_NE(std::string(buf).find("branch_coverage  42"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("dirty_traps      7\n"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("protect_calls    9\n"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("pinned_pages     2\n"), std::string::npos);
+
+  FILE* metrics = fopen((base_ + "/c/metrics.json").c_str(), "r");
+  ASSERT_NE(metrics, nullptr);
+  std::string json;
+  while ((n = fread(buf, 1, sizeof(buf), metrics)) > 0) {
+    json.append(buf, n);
+  }
+  fclose(metrics);
+  EXPECT_NE(json.find("\"dirty_traps\""), std::string::npos);
+  EXPECT_NE(json.find("\"pinned_pages\""), std::string::npos);
 }
 
 TEST_F(WorkdirTest, CrashReproducerReplaysInEngine) {
