@@ -26,10 +26,11 @@
 //                   (table3 / fig6 phase-breakdown passes)
 //   NYX_TRACKER     dirty-tracking backend for guest memory: "mprotect"
 //                   (SIGSEGV write-protection faults, default), "uffd"
-//                   (userfaultfd write-protect mode), "softdirty"
-//                   (/proc/self/pagemap soft-dirty bits) or "software"
-//                   (explicit accessors only). Unavailable backends fall
-//                   back to mprotect with one warning (DESIGN.md §12)
+//                   (userfaultfd write-protect mode) or "softdirty"
+//                   (/proc/self/pagemap soft-dirty bits); "software" dies
+//                   with a NYX_CHECK, since it never sees a target's direct
+//                   stores. Unavailable backends fall back to mprotect with
+//                   one warning (DESIGN.md §12)
 //   NYX_DIRTY_RING  capacity of the simulated hardware dirty ring (positive
 //                   pages per ring-full VM exit, default 512)
 //   NYX_SNAPSHOT_DEPTH  maximum depth of the VM snapshot tree (positive,

@@ -253,6 +253,8 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   result.dirty_traps = mem.tracker().total_marks();
   result.protect_calls = mem.protect_calls();
   result.pinned_pages = mem.pinned_pages();
+  result.pages_restored = engine_.vm_stats().pages_restored;
+  result.pages_captured = engine_.vm_stats().pages_captured;
   if (engine_.auditor() != nullptr) {
     result.pages_audited = engine_.auditor()->stats().pages_audited;
     result.audit_divergences = engine_.auditor()->stats().divergences;

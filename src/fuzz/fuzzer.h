@@ -65,10 +65,14 @@ struct CampaignResult {
   // Dirty tracking of a NyxFuzzer campaign's VM (src/vm/guest_memory.h):
   // first-write traps (DirtyTracker::total_marks), protection-change
   // syscalls, and pages pinned open at the end. A steady-state loop that
-  // still traps shows up here as traps growing with execs.
+  // still traps shows up here as traps growing with execs. Pinned pages are
+  // copied on every restore and capture, so pages_restored/pages_captured
+  // per exec show what the pin set costs.
   uint64_t dirty_traps = 0;
   uint64_t protect_calls = 0;
   uint64_t pinned_pages = 0;
+  uint64_t pages_restored = 0;
+  uint64_t pages_captured = 0;
   // CampaignLimits::wall_seconds ended the run before its other limits did,
   // so the virtual-time results depend on host speed.
   bool wall_capped = false;

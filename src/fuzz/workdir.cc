@@ -163,6 +163,8 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   reg.RegisterCounter("dirty_traps")->Add(result.dirty_traps);
   reg.RegisterCounter("protect_calls")->Add(result.protect_calls);
   reg.RegisterGauge("pinned_pages")->Set(result.pinned_pages);
+  reg.RegisterCounter("pages_restored")->Add(result.pages_restored);
+  reg.RegisterCounter("pages_captured")->Add(result.pages_captured);
   const ContractCounters contracts = GetContractCounters();
   reg.RegisterCounter("contract_soft")->Add(contracts.soft_failures);
   reg.RegisterCounter("contract_hard")->Add(contracts.hard_failures);
@@ -199,8 +201,8 @@ std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
       "execs",         "vtime_seconds", "execs_per_vsec", "branch_coverage",
       "edge_coverage", "corpus_size",   "crashes",        "root_restores",
       "inc_creates",   "inc_restores",  "dirty_traps",    "protect_calls",
-      "pinned_pages",  "contract_soft", "contract_hard",
-      "pages_audited", "divergences",   "faults_injected", "faulted_bytes",
+      "pinned_pages",  "pages_restored", "pages_captured", "contract_soft",
+      "contract_hard", "pages_audited", "divergences",   "faults_injected", "faulted_bytes",
       "semantic_dupes", "analyze_checks", "lock_acquired", "lock_contended",
   };
   const std::vector<telemetry::MetricRegistry::Entry> entries = reg.Entries();

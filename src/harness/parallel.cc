@@ -163,6 +163,12 @@ ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
     m.incremental_creates += r.incremental_creates;
     m.incremental_restores += r.incremental_restores;
     m.root_restores += r.root_restores;
+    m.dirty_traps += r.dirty_traps;
+    m.protect_calls += r.protect_calls;
+    m.pinned_pages += r.pinned_pages;
+    m.pages_restored += r.pages_restored;
+    m.pages_captured += r.pages_captured;
+    m.wall_capped = m.wall_capped || r.wall_capped;
     m.contract_soft_failures += r.contract_soft_failures;
     m.pages_audited += r.pages_audited;
     m.audit_divergences += r.audit_divergences;

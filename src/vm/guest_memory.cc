@@ -124,7 +124,7 @@ GuestMemory::GuestMemory(size_t num_pages, TrackingMode mode, size_t dirty_ring_
       mode_(mode),
       tracker_(num_pages, dirty_ring_capacity),
       opened_(num_pages, 0),
-      dirty_epochs_(num_pages, 0) {
+      window_dirty_epochs_(num_pages, 0) {
   // One extra PROT_NONE guard page so a target running off the end of guest
   // memory faults immediately and deterministically instead of silently
   // reading whatever mapping happens to be adjacent. The guard page is never
@@ -162,7 +162,8 @@ void GuestMemory::ArmTracking() {
   NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
   tracker_.UnpinAll();
   tracker_.Clear();
-  std::fill(dirty_epochs_.begin(), dirty_epochs_.end(), 0);
+  std::fill(window_dirty_epochs_.begin(), window_dirty_epochs_.end(), 0);
+  window_epochs_ = 0;
   armed_ = true;
   opened_count_ = 0;
   backend_->Arm();
@@ -192,12 +193,12 @@ void GuestMemory::OpenForRestore(const uint32_t* pages, size_t n) {
   backend_->OpenPages(opened_.data() + start, opened_count_ - start);
 }
 
-void GuestMemory::PinHotPages() {
+void GuestMemory::EndPinEpoch() {
   // Pin(i) swaps entry i with the first unpinned one, which this loop has
   // already visited, so every entry is counted exactly once.
   const uint32_t* stack = tracker_.stack_data();
   for (size_t i = tracker_.pinned_count(); i < tracker_.stack_size(); i++) {
-    uint8_t& epochs = dirty_epochs_[stack[i]];
+    uint8_t& epochs = window_dirty_epochs_[stack[i]];
     if (epochs < kPinAfter) {
       epochs++;
     }
@@ -205,6 +206,19 @@ void GuestMemory::PinHotPages() {
       tracker_.Pin(i);
     }
   }
+  if (++window_epochs_ < kPinWindow) {
+    return;
+  }
+  // New window: every count restarts, and the pin set is dropped so the
+  // re-arm below protects it again. A page pinned in the window that ended
+  // starts one dirty epoch short of kPinAfter: if it is still hot, its next
+  // write traps once and pins it again; if it went cold, it stays unpinned.
+  window_epochs_ = 0;
+  std::fill(window_dirty_epochs_.begin(), window_dirty_epochs_.end(), 0);
+  for (uint32_t page : tracker_.dirty().first(tracker_.pinned_count())) {
+    window_dirty_epochs_[page] = kPinAfter - 1;
+  }
+  tracker_.UnpinAll();
 }
 
 void GuestMemory::SealAfterRestore() {
@@ -217,7 +231,7 @@ void GuestMemory::SealAfterRestore() {
 
 void GuestMemory::ReArmDirtyPages() {
   NYX_DCHECK(!backend_->wants_segv_handler() || thread_checker_.CalledOnValidThread());
-  PinHotPages();
+  EndPinEpoch();
   const std::span<const uint32_t> rearm = tracker_.unpinned();
   backend_->ReArmPages(rearm.data(), rearm.size());
   tracker_.Clear();

@@ -21,13 +21,14 @@
 // The old per-page mprotect toggle pair around each copy is gone: opening
 // and sealing coalesce runs of pages into single syscalls.
 //
-// Pinned pages (DESIGN.md §12). Each Seal/ReArm ends an epoch. A page dirty
-// in kPinAfter epochs since the last ArmTracking is pinned: it stays
-// writable and dirty from then on, at the bottom of the tracker's stack, and
-// is left out of every re-protect list. Restores and captures copy it like
-// any dirty page, so reverting stays exact, but writes to it never trap
-// again. Invariant: tracker dirt ⊇ pinned set. ArmTracking unpins every
-// page and protects it again.
+// Pinned pages (DESIGN.md §12). Each Seal/ReArm ends an epoch, and epochs
+// are grouped into windows of kPinWindow. A page dirty in kPinAfter epochs
+// of one window is pinned: it stays writable and dirty, at the bottom of the
+// tracker's stack, and is left out of every re-protect list. Restores and
+// captures copy it like any dirty page, so reverting stays exact, but writes
+// to it do not trap. Invariant: tracker dirt ⊇ pinned set. The window's end
+// unpins every page and protects it again (a page pinned in it re-pins at
+// its next dirty epoch), and so does ArmTracking.
 
 #ifndef SRC_VM_GUEST_MEMORY_H_
 #define SRC_VM_GUEST_MEMORY_H_
@@ -98,21 +99,24 @@ class GuestMemory {
   // Completes the restore protocol.
   void SealAfterRestore();
 
-  // Ends an epoch: pins the pages that reached kPinAfter dirty epochs,
-  // re-protects exactly the unpinned dirty pages and clears the tracker
-  // (pinned pages stay dirty). Alone, it is the cheap re-arm after a
-  // capture, when nothing was opened. Callers that read the tracker first
-  // must SyncDirty() before this on passive backends.
+  // Ends an epoch: pins the pages that reached kPinAfter dirty epochs in
+  // this window (or unpins all at the window's end), re-protects exactly the
+  // unpinned dirty pages and clears the tracker (pinned pages stay dirty).
+  // Alone, it is the cheap re-arm after a capture, when nothing was opened.
+  // Callers that read the tracker first must SyncDirty() before this on
+  // passive backends.
   void ReArmDirtyPages();
 
   // A trap costs ~8-9 µs per page (SIGSEGV, mprotect in the handler,
   // mprotect at re-arm) against ~50 ns to copy a page left open, so pinning
-  // breaks even at about one write per 160 epochs. Eight dirty epochs single
-  // out the pages every exec writes (target state, heap meta) and leave
-  // pages that only set-up or rare paths write to trap.
+  // breaks even at about one write per 160 epochs. Pinning after kPinAfter
+  // dirty epochs out of a kPinWindow-epoch window asks for one write per
+  // 128: the pages every exec writes (target state, heap meta) pin within a
+  // window, a page written once per thousand epochs almost never does.
   static constexpr uint8_t kPinAfter = 8;
-  // Bounds what a stale pin set can cost: 32 needless page copies (~1.6 µs)
-  // per restore or capture, a fifth of one trap.
+  static constexpr uint32_t kPinWindow = 1024;
+  // Bounds what a pin set can cost within one window: 32 page copies
+  // (~1.6 µs) per restore or capture, a fifth of one trap.
   static constexpr size_t kMaxPinnedPages = 32;
   size_t pinned_pages() const { return tracker_.pinned_count(); }
 
@@ -145,8 +149,9 @@ class GuestMemory {
 
  private:
   // Counts the ending epoch for every unpinned dirty page and pins those
-  // that reach kPinAfter while fewer than kMaxPinnedPages are pinned.
-  void PinHotPages();
+  // that reach kPinAfter while fewer than kMaxPinnedPages are pinned. At
+  // the window's end, restarts the counts and unpins every page.
+  void EndPinEpoch();
 
   uint8_t* base_ = nullptr;
   size_t num_pages_;
@@ -163,9 +168,10 @@ class GuestMemory {
   // preallocated so restores never allocate.
   std::vector<uint32_t> opened_;
   size_t opened_count_ = 0;
-  // Per page: epochs it was dirty in since ArmTracking, saturating at
-  // kPinAfter.
-  std::vector<uint8_t> dirty_epochs_;
+  // Per page: epochs of the current window it was dirty in, saturating at
+  // kPinAfter; window_epochs_ counts the window's epochs so far.
+  std::vector<uint8_t> window_dirty_epochs_;
+  uint32_t window_epochs_ = 0;
   // A region with fault-driven tracking must live its whole life on the
   // thread that constructed it (the SIGSEGV handler only resolves faults for
   // regions owned by the faulting thread — DESIGN.md §8.1). Debug builds

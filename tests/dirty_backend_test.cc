@@ -264,6 +264,74 @@ TEST_P(BackendModeTest, AtMostMaxPinnedPagesPin) {
   EXPECT_EQ(mem.tracker().stack_size(), kPages);
 }
 
+TEST_P(BackendModeTest, PinSetRestartsEveryWindow) {
+  SKIP_IF_UNAVAILABLE(GetParam());
+  GuestMemory mem(16, GetParam());
+  ASSERT_EQ(mem.mode(), GetParam());
+  mem.ArmTracking();
+  int epoch = 0;  // epochs since ArmTracking
+  auto end_epoch = [&](std::initializer_list<uint32_t> pages) { DirtyEpoch(mem, pages, epoch++); };
+
+  // Window 1: page 4 is written every epoch and pins; page 9 is written in
+  // kPinAfter - 1 epochs, one short.
+  for (int e = 0; e + 1 < GuestMemory::kPinAfter; e++) {
+    end_epoch({4, 9});
+  }
+  end_epoch({4});
+  ASSERT_EQ(mem.pinned_pages(), 1u);
+  while (epoch + 1 < static_cast<int>(GuestMemory::kPinWindow)) {
+    end_epoch({4});
+  }
+  ASSERT_EQ(mem.pinned_pages(), 1u);
+  // The window's last epoch unpins page 4 and protects it again.
+  end_epoch({4});
+  EXPECT_EQ(mem.pinned_pages(), 0u);
+  EXPECT_EQ(mem.tracker().stack_size(), 0u);
+
+  // Window 2: page 4, still hot, traps once and pins again at the end of
+  // that epoch. Page 9's count restarted, so its eighth write does not pin.
+  uint64_t marks = mem.tracker().total_marks();
+  end_epoch({4, 9});
+  EXPECT_EQ(mem.tracker().total_marks(), marks + 2);
+  ASSERT_EQ(mem.pinned_pages(), 1u);
+  EXPECT_EQ(mem.tracker().dirty()[0], 4u);
+  EXPECT_FALSE(mem.tracker().IsDirty(9));
+
+  // Page 4 goes cold. It stays pinned to the end of window 2 and, unwritten
+  // in window 3, drops out: in window 4 one write traps and does not pin.
+  while (epoch < 3 * static_cast<int>(GuestMemory::kPinWindow)) {
+    end_epoch({});
+  }
+  EXPECT_EQ(mem.pinned_pages(), 0u);
+  marks = mem.tracker().total_marks();
+  end_epoch({4});
+  EXPECT_EQ(mem.tracker().total_marks(), marks + 1);
+  EXPECT_EQ(mem.pinned_pages(), 0u);
+  EXPECT_FALSE(mem.tracker().IsDirty(4));
+}
+
+TEST_P(BackendModeTest, RarelyWrittenPageNeverPins) {
+  // One write per 150 epochs is below the one-per-128 rate pinning asks
+  // for, so across several windows every write keeps trapping, however
+  // many writes there are in total.
+  SKIP_IF_UNAVAILABLE(GetParam());
+  GuestMemory mem(16, GetParam());
+  ASSERT_EQ(mem.mode(), GetParam());
+  mem.ArmTracking();
+  uint64_t writes = 0;
+  for (int e = 0; e < 4 * static_cast<int>(GuestMemory::kPinWindow); e++) {
+    if (e % 150 == 0) {
+      DirtyEpoch(mem, {9}, e);
+      writes++;
+    } else {
+      DirtyEpoch(mem, {}, e);
+    }
+    ASSERT_EQ(mem.pinned_pages(), 0u) << "epoch " << e;
+  }
+  EXPECT_GT(writes, 2u * GuestMemory::kPinAfter);
+  EXPECT_EQ(mem.tracker().total_marks(), writes);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, BackendModeTest, ::testing::ValuesIn(kHardwareModes),
                          [](const ::testing::TestParamInfo<TrackingMode>& info) {
                            return std::string(TrackingModeName(info.param));

@@ -19,6 +19,7 @@
 #include "src/mario/mario_target.h"
 #include "src/spec/builder.h"
 #include "src/targets/registry.h"
+#include "src/vm/guest_memory.h"
 
 namespace nyx {
 namespace {
@@ -145,9 +146,11 @@ TEST(SnapshotAuditTest, DeepSnapshotTreeReplaysDivergenceFree) {
 
 TEST(SnapshotAuditTest, PinnedPagesReplayDivergenceFree) {
   // Campaigns long enough for the pages every exec writes to pin open
-  // (GuestMemory::kPinAfter). A pinned page never traps, so only its place
-  // in the dirty set gets it reverted: the run-twice oracle must stay clean
-  // at the classic depth and in a depth-3 tree.
+  // (GuestMemory::kPinAfter), and for the pin set to be dropped and
+  // re-earned at a GuestMemory::kPinWindow boundary. A pinned page never
+  // traps, so only its place in the dirty set gets it reverted: the
+  // run-twice oracle must stay clean at the classic depth and in a depth-3
+  // tree.
   const std::optional<TargetRegistration> reg = FindTarget("lightftp");
   ASSERT_TRUE(reg.has_value());
   const Spec spec = reg->make_spec();
@@ -162,9 +165,12 @@ TEST(SnapshotAuditTest, PinnedPagesReplayDivergenceFree) {
     }
     CampaignLimits limits = ShortLimits();
     limits.vtime_seconds = 60.0;
-    limits.max_execs = 80;
+    limits.max_execs = 500;
     CampaignResult result = fuzzer.Run(limits);
     EXPECT_GT(result.pinned_pages, 0u) << "depth " << depth;
+    EXPECT_GT(result.root_restores + result.incremental_restores + result.incremental_creates,
+              GuestMemory::kPinWindow)
+        << "depth " << depth;
     EXPECT_GT(result.incremental_restores, 0u) << "depth " << depth;
     EXPECT_GT(result.pages_audited, 0u) << "depth " << depth;
     EXPECT_EQ(result.audit_divergences, 0u) << "depth " << depth;

@@ -213,7 +213,9 @@ TEST(SnapshotTreeTest, DepthOneEquivalentToClassicPair) {
 // against a full-image model of every captured state. Half the writes land
 // on two hot pages, as a target's state struct does, so those pages pin
 // open (GuestMemory::kPinAfter) early and the rest of the run checks
-// ancestor and forward restores with pinned pages in the dirty set.
+// ancestor and forward restores with pinned pages in the dirty set. The run
+// spans several GuestMemory::kPinWindow windows, so the pin set is also
+// dropped and re-earned between tree operations.
 class SnapshotTreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
@@ -230,8 +232,10 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
   size_t valid_depth = 0;  // deepest d with a trusted image
   size_t pinned_ancestor_restores = 0;
   size_t pinned_forward_restores = 0;
+  size_t window_unpins = 0;
 
-  for (int step = 0; step < 1500; step++) {
+  for (int step = 0; step < 5000; step++) {
+    const size_t pinned_before = vm.mem().pinned_pages();
     const uint64_t action = rng.Below(10);
     if (action < 5) {
       const uint64_t off = rng.Chance(1, 2) ? (1 + rng.Below(2)) * kPageSize + rng.Below(kPageSize)
@@ -260,10 +264,14 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
       valid_depth = 0;
       ASSERT_EQ(0, memcmp(vm.mem().base(), images[0].data(), bytes)) << "step " << step;
     }
+    if (vm.mem().pinned_pages() < pinned_before) {
+      window_unpins++;
+    }
   }
   EXPECT_GT(vm.mem().pinned_pages(), 0u);
   EXPECT_GT(pinned_ancestor_restores, 0u);
   EXPECT_GT(pinned_forward_restores, 0u);
+  EXPECT_GE(window_unpins, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotTreePropertyTest,

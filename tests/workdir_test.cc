@@ -100,6 +100,8 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   result.dirty_traps = 7;
   result.protect_calls = 9;
   result.pinned_pages = 2;
+  result.pages_restored = 2468;
+  result.pages_captured = 321;
   CrashRecord rec;
   rec.kind = "test-crash";
   rec.count = 3;
@@ -120,6 +122,8 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   EXPECT_NE(std::string(buf).find("dirty_traps      7\n"), std::string::npos);
   EXPECT_NE(std::string(buf).find("protect_calls    9\n"), std::string::npos);
   EXPECT_NE(std::string(buf).find("pinned_pages     2\n"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("pages_restored   2468\n"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("pages_captured   321\n"), std::string::npos);
 
   FILE* metrics = fopen((base_ + "/c/metrics.json").c_str(), "r");
   ASSERT_NE(metrics, nullptr);
