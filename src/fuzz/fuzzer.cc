@@ -255,6 +255,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   result.pinned_pages = mem.pinned_pages();
   result.pages_restored = engine_.vm_stats().pages_restored;
   result.pages_captured = engine_.vm_stats().pages_captured;
+  result.root_pages = engine_.vm().root().stored_pages();
   if (engine_.auditor() != nullptr) {
     result.pages_audited = engine_.auditor()->stats().pages_audited;
     result.audit_divergences = engine_.auditor()->stats().divergences;

@@ -73,6 +73,9 @@ struct CampaignResult {
   uint64_t pinned_pages = 0;
   uint64_t pages_restored = 0;
   uint64_t pages_captured = 0;
+  // Pages the root snapshot stores (RootSnapshot::stored_pages): the
+  // non-zero pages boot populated, however large the guest.
+  uint64_t root_pages = 0;
   // CampaignLimits::wall_seconds ended the run before its other limits did,
   // so the virtual-time results depend on host speed.
   bool wall_capped = false;

@@ -168,6 +168,7 @@ ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
     m.pinned_pages += r.pinned_pages;
     m.pages_restored += r.pages_restored;
     m.pages_captured += r.pages_captured;
+    m.root_pages += r.root_pages;
     m.wall_capped = m.wall_capped || r.wall_capped;
     m.contract_soft_failures += r.contract_soft_failures;
     m.pages_audited += r.pages_audited;

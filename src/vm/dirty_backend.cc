@@ -368,10 +368,8 @@ class SoftDirtyBackend : public DirtyBackend {
         buf_(num_pages < kChunkEntries ? num_pages : kChunkEntries) {}
 
   ~SoftDirtyBackend() override {
-    for (int fd : {pagemap_fd_, clear_fd_}) {
-      if (fd >= 0) {
-        close(fd);
-      }
+    if (clear_fd_ >= 0) {
+      close(clear_fd_);
     }
     if (claimed_) {
       g_softdirty_claimed.store(false, std::memory_order_release);
@@ -386,8 +384,7 @@ class SoftDirtyBackend : public DirtyBackend {
     }
     claimed_ = true;
     clear_fd_ = open("/proc/self/clear_refs", O_WRONLY | O_CLOEXEC);
-    pagemap_fd_ = open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
-    if (clear_fd_ < 0 || pagemap_fd_ < 0) {
+    if (clear_fd_ < 0 || !pagemap_.ok()) {
       return false;
     }
     // Functional probe: with CONFIG_MEM_SOFT_DIRTY compiled out the files
@@ -415,15 +412,12 @@ class SoftDirtyBackend : public DirtyBackend {
     if (!armed_) {
       return;
     }
-    const uint64_t first_entry = reinterpret_cast<uintptr_t>(base_) / kPageSize;
     for (size_t start = 0; start < num_pages_; start += buf_.size()) {
       const size_t count = num_pages_ - start < buf_.size() ? num_pages_ - start : buf_.size();
-      const ssize_t want = static_cast<ssize_t>(count * sizeof(uint64_t));
-      const ssize_t got = pread(pagemap_fd_, buf_.data(), static_cast<size_t>(want),
-                                static_cast<off_t>((first_entry + start) * sizeof(uint64_t)));
-      NYX_CHECK(got == want) << "pagemap read failed";
+      NYX_CHECK(pagemap_.Read(base_ + start * kPageSize, count, buf_.data()))
+          << "pagemap read failed";
       for (size_t i = 0; i < count; i++) {
-        if ((buf_[i] >> kSoftDirtyBit) & 1) {
+        if ((buf_[i] >> Pagemap::kSoftDirtyBit) & 1) {
           tracker_->MarkDirty(static_cast<uint32_t>(start + i));
         }
       }
@@ -435,7 +429,6 @@ class SoftDirtyBackend : public DirtyBackend {
 
  private:
   static constexpr size_t kChunkEntries = 1024;
-  static constexpr unsigned kSoftDirtyBit = 55;
 
   void ClearRefs() {
     NYX_CHECK(pwrite(clear_fd_, "4", 1, 0) == 1) << "clear_refs write failed";
@@ -443,17 +436,12 @@ class SoftDirtyBackend : public DirtyBackend {
   }
 
   bool PageSoftDirty(uint32_t page) {
-    const uint64_t entry_off =
-        (reinterpret_cast<uintptr_t>(base_) / kPageSize + page) * sizeof(uint64_t);
     uint64_t entry = 0;
-    if (pread(pagemap_fd_, &entry, sizeof(entry), static_cast<off_t>(entry_off)) !=
-        static_cast<ssize_t>(sizeof(entry))) {
-      return false;
-    }
-    return ((entry >> kSoftDirtyBit) & 1) != 0;
+    return pagemap_.Read(base_ + static_cast<size_t>(page) * kPageSize, 1, &entry) &&
+           ((entry >> Pagemap::kSoftDirtyBit) & 1) != 0;
   }
 
-  int pagemap_fd_ = -1;
+  Pagemap pagemap_;
   int clear_fd_ = -1;
   bool claimed_ = false;
   bool armed_ = false;
@@ -532,6 +520,33 @@ void RawProtect(void* addr, size_t len, int prot) {
     perror("mprotect");
     abort();
   }
+}
+
+Pagemap::Pagemap() : fd_(open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC)) {}
+
+Pagemap::~Pagemap() {
+  if (fd_ >= 0) {
+    close(fd_);
+  }
+}
+
+bool Pagemap::Read(const void* addr, size_t count, uint64_t* out) const {
+  if (fd_ < 0) {
+    return false;
+  }
+  auto* dst = reinterpret_cast<uint8_t*>(out);
+  size_t want = count * sizeof(uint64_t);
+  off_t off = static_cast<off_t>(reinterpret_cast<uintptr_t>(addr) / kPageSize * sizeof(uint64_t));
+  while (want > 0) {
+    const ssize_t got = pread(fd_, dst, want, off);
+    if (got <= 0) {
+      return false;
+    }
+    dst += got;
+    want -= static_cast<size_t>(got);
+    off += got;
+  }
+  return true;
 }
 
 std::unique_ptr<DirtyBackend> CreateDirtyBackend(TrackingMode requested, uint8_t* base,

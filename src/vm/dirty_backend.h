@@ -62,6 +62,38 @@ TrackingMode TrackingModeFromEnv(TrackingMode def);
 // page-protection change can bypass the backend layer. Aborts on failure.
 void RawProtect(void* addr, size_t len, int prot);
 
+// /proc/self/pagemap: one 64-bit entry per virtual page of this process.
+// The single reader of the file, shared by the soft-dirty backend (bit 55)
+// and the root snapshot, which stores only pages that are present (bit 63)
+// or swapped out (bit 62).
+class Pagemap {
+ public:
+  static constexpr unsigned kSoftDirtyBit = 55;
+  static constexpr unsigned kSwappedBit = 62;
+  static constexpr unsigned kPresentBit = 63;
+
+  Pagemap();  // opens the file; ok() says whether that worked
+  ~Pagemap();
+
+  Pagemap(const Pagemap&) = delete;
+  Pagemap& operator=(const Pagemap&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+
+  // Reads the entries of the `count` pages from page-aligned `addr` into
+  // `out`. False when the file is not open or the read comes up short.
+  bool Read(const void* addr, size_t count, uint64_t* out) const;
+
+  // A page that is neither present nor swapped out was never populated:
+  // anonymous memory in that state reads as zero.
+  static bool Populated(uint64_t entry) {
+    return ((entry >> kPresentBit) & 1) != 0 || ((entry >> kSwappedBit) & 1) != 0;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
 // One backend instance tracks one GuestMemory region. All methods except the
 // internals of fault delivery run on the region's owning thread.
 //

@@ -4,6 +4,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -14,10 +15,26 @@
 #include "src/common/check.h"
 
 namespace nyx {
+namespace {
+
+bool IsZeroPage(const uint8_t* page) {
+  uint64_t any = 0;
+  for (size_t off = 0; off < kPageSize; off += sizeof(uint64_t)) {
+    uint64_t word;
+    memcpy(&word, page + off, sizeof(word));
+    any |= word;
+  }
+  return any == 0;
+}
+
+}  // namespace
 
 RootSnapshot::RootSnapshot(const GuestMemory& mem, const DeviceState& devices,
                            const BlockDevice& disk)
-    : size_bytes_(mem.size_bytes()), devices_(devices), disk_(disk.CaptureRoot()) {
+    : size_bytes_(mem.size_bytes()),
+      stored_(mem.num_pages(), 0),
+      devices_(devices),
+      disk_(disk.CaptureRoot()) {
   memfd_ = memfd_create("nyx-root-snapshot", MFD_CLOEXEC);
   if (memfd_ < 0) {
     perror("memfd_create");
@@ -32,7 +49,24 @@ RootSnapshot::RootSnapshot(const GuestMemory& mem, const DeviceState& devices,
     perror("mmap root snapshot");
     abort();
   }
-  memcpy(w, mem.base(), size_bytes_);
+  // Store the populated pages that are not all zeros. Without pagemap every
+  // page counts as populated and the zero scan alone decides.
+  constexpr size_t kChunk = 512;
+  uint64_t entries[kChunk];
+  const Pagemap pagemap;
+  for (size_t first = 0; first < mem.num_pages(); first += kChunk) {
+    const size_t count = std::min(kChunk, mem.num_pages() - first);
+    const uint8_t* src = mem.base() + first * kPageSize;
+    const bool mapped = pagemap.Read(src, count, entries);
+    for (size_t i = 0; i < count; i++, src += kPageSize) {
+      if ((mapped && !Pagemap::Populated(entries[i])) || IsZeroPage(src)) {
+        continue;
+      }
+      memcpy(static_cast<uint8_t*>(w) + (first + i) * kPageSize, src, kPageSize);
+      stored_[first + i] = 1;
+      stored_pages_++;
+    }
+  }
   // Keep a read-only view for restores; drop the writable one. Sealing the
   // view is not dirty tracking, so it goes through the sanctioned raw call.
   RawProtect(w, size_bytes_, PROT_READ);

@@ -1,8 +1,14 @@
 // Root and incremental VM snapshots (paper sections 2.3 and 4.2).
 //
-// Root snapshot: a full copy of guest physical memory into a memfd, plus
-// device and disk state. Restoring copies back only the pages named by the
-// dirty stack.
+// Root snapshot: guest physical memory in a memfd, plus device and disk
+// state. Restoring copies back only the pages named by the dirty stack.
+// The memfd is sparse: it stores the non-zero pages the guest populated
+// before the root and leaves every other page a hole, so capture time and
+// memory follow the pages boot touched, not the guest size. One pagemap
+// pass skips the pages that are neither present nor swapped out (never
+// touched, so zero); a word scan drops the populated pages that are all
+// zeros. PagePtr() hands out a shared zero page for a hole, because a read
+// through the memfd view would allocate a shmem page for it.
 //
 // Incremental snapshot: "we simply remap the existing root snapshot to a
 // second location as Copy-On-Write pages. This way, the incremental snapshot
@@ -13,7 +19,9 @@
 //
 // We implement this literally: the mirror is an mmap(MAP_PRIVATE) of the
 // root memfd; writing a dirtied page into the mirror triggers a kernel CoW
-// fault that creates a private copy of just that page. Pages captured by a
+// fault that creates a private copy of just that page (for a hole, the
+// kernel also allocates the zeroed shmem source page; it stays in the memfd,
+// unmapped, once per distinct page ever captured). Pages captured by a
 // previous incremental snapshot but absent from the next one are reverted by
 // copying the root content over the (already private) mirror page — reusing
 // the existing copy "avoids more expensive changes to the page tables". To
@@ -42,19 +50,26 @@ class RootSnapshot {
   RootSnapshot(const RootSnapshot&) = delete;
   RootSnapshot& operator=(const RootSnapshot&) = delete;
 
+  // Root content of `page`; a page the root does not store is all zeros.
   const uint8_t* PagePtr(uint32_t page) const {
-    return view_ + static_cast<size_t>(page) * kPageSize;
+    return stored_[page] != 0 ? view_ + static_cast<size_t>(page) * kPageSize : kZeroPage;
   }
   int memfd() const { return memfd_; }
   size_t size_bytes() const { return size_bytes_; }
+  // Pages the memfd holds data for; the rest are holes.
+  size_t stored_pages() const { return stored_pages_; }
 
   const DeviceState& devices() const { return devices_; }
   const BlockDevice::RootLayer& disk() const { return disk_; }
 
  private:
+  alignas(kPageSize) static constexpr uint8_t kZeroPage[kPageSize] = {};
+
   int memfd_ = -1;
   size_t size_bytes_ = 0;
   const uint8_t* view_ = nullptr;  // read-only shared mapping of the memfd
+  std::vector<uint8_t> stored_;    // page -> copied into the memfd
+  size_t stored_pages_ = 0;
   DeviceState devices_;
   BlockDevice::RootLayer disk_;
 };

@@ -44,6 +44,56 @@ TEST_F(SnapshotTest, RootSnapshotPreservesContents) {
   }
 }
 
+// Populated pages in [base, base + pages), or -1 without pagemap.
+long PopulatedPages(const uint8_t* base, size_t pages) {
+  std::vector<uint64_t> entries(pages);
+  if (!Pagemap().Read(base, pages, entries.data())) {
+    return -1;
+  }
+  long populated = 0;
+  for (const uint64_t e : entries) {
+    populated += Pagemap::Populated(e) ? 1 : 0;
+  }
+  return populated;
+}
+
+TEST(SparseRootTest, StoresOnlyNonZeroPagesBootPopulated) {
+  // A 16 MiB guest under the backend NYX_TRACKER names: uffd populates every
+  // page up front, so there the zero scan alone decides what is stored.
+  GuestMemory mem(4096, TrackingModeFromEnv(TrackingMode::kMprotect));
+  DeviceState devices;
+  BlockDevice disk(16);
+  // The expected image is built beside the guest, not read from it, so no
+  // untouched guest page gets populated by the test itself.
+  Bytes image(mem.size_bytes(), 0);
+  auto write = [&](uint32_t page, size_t off, uint8_t value) {
+    const size_t at = static_cast<size_t>(page) * kPageSize + off;
+    mem.base()[at] = value;
+    image[at] = value;
+  };
+  const uint32_t last = static_cast<uint32_t>(mem.num_pages() - 1);
+  for (const uint32_t page : {0u, 7u, 1000u, 2049u, last}) {
+    write(page, page % kPageSize, static_cast<uint8_t>(page | 1));
+    write(page, kPageSize - 1, 0x5a);
+  }
+  write(300, 12, 0x77);  // written, then zeroed again
+  write(300, 12, 0);
+  volatile uint8_t sink = mem.base()[static_cast<size_t>(3000) * kPageSize];  // only read
+  (void)sink;
+
+  const long populated_before = PopulatedPages(mem.base(), mem.num_pages());
+  RootSnapshot root(mem, devices, disk);
+  EXPECT_EQ(root.stored_pages(), 5u);
+  // Pages nothing touched are skipped through pagemap, not scanned: a scan
+  // would map a zero page into every one of them.
+  EXPECT_EQ(PopulatedPages(mem.base(), mem.num_pages()), populated_before);
+  for (uint32_t p = 0; p < mem.num_pages(); p++) {
+    ASSERT_EQ(0, memcmp(root.PagePtr(p), image.data() + static_cast<size_t>(p) * kPageSize,
+                        kPageSize))
+        << "page " << p;
+  }
+}
+
 TEST_F(SnapshotTest, RootRestoreAfterWrites) {
   RootSnapshot root(mem_, devices_, disk_);
   const Bytes pristine = Checksum(mem_);

@@ -215,15 +215,21 @@ TEST(SnapshotTreeTest, DepthOneEquivalentToClassicPair) {
 // open (GuestMemory::kPinAfter) early and the rest of the run checks
 // ancestor and forward restores with pinned pages in the dirty set. The run
 // spans several GuestMemory::kPinWindow windows, so the pin set is also
-// dropped and re-earned between tree operations.
+// dropped and re-earned between tree operations. Boot scatters random bytes,
+// zeros among them, so the sparse root holds stored pages, populated zero
+// pages and holes. After the windows, the run now and then re-roots with
+// tracking armed (a re-root restarts the pin window).
 class SnapshotTreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
   Rng rng(GetParam());
   constexpr size_t kDepth = 3;
   Vm vm(TreeConfig(kDepth));
-  vm.TakeRootSnapshot();
   const size_t bytes = vm.mem().size_bytes();
+  for (int i = 0; i < 40; i++) {
+    vm.mem().base()[rng.Below(bytes)] = rng.Chance(1, 4) ? 0 : rng.NextByte();
+  }
+  vm.TakeRootSnapshot();
 
   // images[d] = full memory image of the state at depth d (0 = root).
   std::vector<Bytes> images(kDepth + 1);
@@ -233,8 +239,18 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
   size_t pinned_ancestor_restores = 0;
   size_t pinned_forward_restores = 0;
   size_t window_unpins = 0;
+  size_t reroots = 0;
 
-  for (int step = 0; step < 5000; step++) {
+  for (int step = 0; step < 7000; step++) {
+    if (step >= 5000 && step < 6800 && rng.Chance(1, 150)) {
+      // The new root holds the current dirt and pinned pages; the tree and
+      // the pin set start over.
+      vm.TakeRootSnapshot();
+      memcpy(images[0].data(), vm.mem().base(), bytes);
+      valid_depth = 0;
+      reroots++;
+      continue;
+    }
     const size_t pinned_before = vm.mem().pinned_pages();
     const uint64_t action = rng.Below(10);
     if (action < 5) {
@@ -272,6 +288,7 @@ TEST_P(SnapshotTreePropertyTest, TreeMatchesShadowImages) {
   EXPECT_GT(pinned_ancestor_restores, 0u);
   EXPECT_GT(pinned_forward_restores, 0u);
   EXPECT_GE(window_unpins, 2u);
+  EXPECT_GT(reroots, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotTreePropertyTest,

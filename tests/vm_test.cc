@@ -208,6 +208,36 @@ TEST(VmTest, StatsCountPagesRestored) {
   EXPECT_EQ(vm.stats().pages_restored, 2u);
 }
 
+bool PageIsZero(Vm& vm, uint32_t page) {
+  static const uint8_t kZeros[kPageSize] = {};
+  return memcmp(vm.mem().base() + static_cast<size_t>(page) * kPageSize, kZeros, kPageSize) == 0;
+}
+
+TEST(VmTest, UntouchedGuestRootIsEmptyAndHolesRevertToZeros) {
+  VmConfig cfg;
+  cfg.mem_pages = 262144;  // 1 GiB
+  cfg.disk_sectors = 16;
+  Vm vm(cfg);
+  vm.TakeRootSnapshot();
+  EXPECT_EQ(vm.root().stored_pages(), 0u);
+
+  // A post-root write to a hole reverts to zeros on a root restore.
+  const uint32_t hole = 200000;
+  vm.mem().base()[static_cast<size_t>(hole) * kPageSize + 9] = 0xab;
+  vm.RestoreRoot();
+  EXPECT_TRUE(PageIsZero(vm, hole));
+
+  // ... and on a restore to a snapshot that did not capture it.
+  vm.mem().base()[static_cast<size_t>(5) * kPageSize] = 0x11;
+  vm.CreateIncremental();
+  vm.mem().base()[static_cast<size_t>(hole) * kPageSize + 9] = 0xcd;
+  vm.RestoreTo(1);
+  EXPECT_TRUE(PageIsZero(vm, hole));
+  EXPECT_EQ(vm.mem().base()[static_cast<size_t>(5) * kPageSize], 0x11);
+  vm.RestoreRoot();
+  EXPECT_TRUE(PageIsZero(vm, 5));
+}
+
 // Property test: arbitrary interleavings of writes, incremental captures and
 // restores never corrupt state.
 class VmPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -102,6 +102,7 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   result.pinned_pages = 2;
   result.pages_restored = 2468;
   result.pages_captured = 321;
+  result.root_pages = 17;
   CrashRecord rec;
   rec.kind = "test-crash";
   rec.count = 3;
@@ -123,7 +124,8 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   EXPECT_NE(std::string(buf).find("protect_calls    9\n"), std::string::npos);
   EXPECT_NE(std::string(buf).find("pinned_pages     2\n"), std::string::npos);
   EXPECT_NE(std::string(buf).find("pages_restored   2468\n"), std::string::npos);
-  EXPECT_NE(std::string(buf).find("pages_captured   321\n"), std::string::npos);
+  EXPECT_NE(std::string(buf).find("pages_captured   321\nroot_pages       17\n"),
+            std::string::npos);
 
   FILE* metrics = fopen((base_ + "/c/metrics.json").c_str(), "r");
   ASSERT_NE(metrics, nullptr);
@@ -134,6 +136,10 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   fclose(metrics);
   EXPECT_NE(json.find("\"dirty_traps\""), std::string::npos);
   EXPECT_NE(json.find("\"pinned_pages\""), std::string::npos);
+  // The root's size is a gauge: it describes the campaign's end state.
+  const size_t gauges = json.find("\"gauges\"");
+  ASSERT_NE(gauges, std::string::npos);
+  EXPECT_NE(json.find("\"root_pages\": 17", gauges), std::string::npos);
 }
 
 TEST_F(WorkdirTest, CrashReproducerReplaysInEngine) {
