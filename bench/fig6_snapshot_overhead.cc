@@ -1,9 +1,7 @@
 // Figure 6: throughput of creating/loading incremental snapshots with n
-// dirty pages, Nyx-Net vs AGAMOTTO, on two VM sizes — plus two sweeps the
-// paper's KVM setup could not ask: the same snapshot workload under every
-// available dirty-tracking backend (mprotect vs uffd-WP vs soft-dirty,
-// DESIGN.md §12), and the depth-k snapshot tree against the classic
-// root+incremental pair on a staged message sequence.
+// dirty pages, Nyx-Net vs AGAMOTTO, on two VM sizes — plus a sweep the
+// paper's KVM setup could not ask: the depth-k snapshot tree against the
+// classic root+incremental pair on a staged message sequence (DESIGN.md §12).
 //
 // This is a genuine wall-clock microbenchmark of the two snapshot
 // implementations (src/vm vs src/agamotto): real mmap/mprotect/memfd-CoW
@@ -57,12 +55,10 @@ struct Sample {
   double restore_us = 0;
 };
 
-Sample BenchNyx(size_t vm_pages, size_t dirty, size_t reps,
-                TrackingMode mode = TrackingMode::kMprotect) {
+Sample BenchNyx(size_t vm_pages, size_t dirty, size_t reps) {
   VmConfig cfg;
   cfg.mem_pages = vm_pages;
   cfg.disk_sectors = 16;
-  cfg.tracking = mode;
   Vm vm(cfg);
   vm.TakeRootSnapshot();
   Sample s;
@@ -243,71 +239,6 @@ int main() {
       return 1;
     }
   }
-  // Backend head-to-head: the same create/restore sweep under every
-  // available dirty-tracking backend. Unavailable backends are reported, not
-  // silently dropped. One phase-breakdown section per VM size per backend.
-  const TrackingMode all_modes[] = {TrackingMode::kMprotect, TrackingMode::kUffd,
-                                    TrackingMode::kSoftDirty};
-  printf("Backend head-to-head: Nyx create/load under each dirty-tracking backend\n");
-  for (size_t mb : vm_mbs) {
-    const size_t pages = mb * 1024 * 1024 / kPageSize;
-    TextTable table({"dirty pages", "mprotect create us", "mprotect load us",
-                     "uffd create us", "uffd load us", "softdirty create us",
-                     "softdirty load us"});
-    // sample[mode][dirty index]; run grouped by backend so each backend's
-    // phase latencies land in their own section.
-    std::vector<std::vector<Sample>> samples(3);
-    for (size_t m = 0; m < 3; m++) {
-      const TrackingMode mode = all_modes[m];
-      if (!TrackingModeAvailable(mode)) {
-        continue;
-      }
-      telemetry::MetricRegistry::Global().ResetValues();
-      for (size_t dirty : dirty_counts) {
-        Sample s;
-        const bool runnable =
-            dirty <= pages * 3 / 4 &&
-            (mode != TrackingMode::kMprotect || dirty * 2 + 1024 <= 65000 ||
-             EnsureMapCount(dirty * 3));
-        if (runnable) {
-          const size_t reps = dirty <= 1000 ? 100 : (dirty <= 10000 ? 20 : 5);
-          fprintf(stderr, "[fig6] vm=%zuMB dirty=%zu backend=%s...\n", mb, dirty,
-                  TrackingModeName(mode));
-          s = BenchNyx(pages, dirty, reps, mode);
-        } else {
-          s.create_us = s.restore_us = -1;
-        }
-        samples[m].push_back(s);
-      }
-      if (!UpdatePhaseBreakdown(phase_out,
-                                "fig6-" + std::to_string(mb) + "mb-" +
-                                    TrackingModeName(mode),
-                                PhaseBreakdownSection())) {
-        telemetry::SetTelemetryEnabled(was_enabled);
-        return 1;
-      }
-    }
-    for (size_t d = 0; d < sizeof(dirty_counts) / sizeof(dirty_counts[0]); d++) {
-      std::vector<std::string> row = {std::to_string(dirty_counts[d])};
-      for (size_t m = 0; m < 3; m++) {
-        if (samples[m].empty()) {
-          row.push_back("(unavailable)");
-          row.push_back("-");
-        } else if (samples[m][d].create_us < 0) {
-          row.push_back("-");
-          row.push_back("-");
-        } else {
-          row.push_back(Fmt(samples[m][d].create_us));
-          row.push_back(Fmt(samples[m][d].restore_us));
-        }
-      }
-      table.AddRow(row);
-    }
-    printf("VM size: %zu MB (%zu pages)\n", mb, pages);
-    table.Print();
-    printf("\n");
-  }
-
   // Depth-k tree vs the classic pair: 8 protocol stages x 512 pages, the
   // tree snapshotting the first k stage boundaries. depth=1 IS the classic
   // root+incremental pair; deeper trees replay fewer stages per iteration

@@ -57,8 +57,6 @@ double Wall(double def) { return DoubleOr("NYX_WALL", def); }
 bool LockDebug(bool def) { return FlagOr("NYX_LOCK_DEBUG", def); }
 bool Audit() { return Flag("NYX_AUDIT"); }
 std::string TracePath() { return StringOr("NYX_TRACE", ""); }
-std::string Tracker() { return StringOr("NYX_TRACKER", ""); }
-size_t DirtyRing(size_t def) { return SizeOr("NYX_DIRTY_RING", def); }
 size_t SnapshotDepth(size_t def) { return SizeOr("NYX_SNAPSHOT_DEPTH", def); }
 bool AnalyzeCheck() { return Flag("NYX_ANALYZE_CHECK"); }
 

@@ -24,15 +24,6 @@
 //   NYX_TRACE_RING  per-thread trace ring capacity in events (default 65536)
 //   NYX_PHASE_OUT   output path override for BENCH_phase_breakdown.json
 //                   (table3 / fig6 phase-breakdown passes)
-//   NYX_TRACKER     dirty-tracking backend for guest memory: "mprotect"
-//                   (SIGSEGV write-protection faults, default), "uffd"
-//                   (userfaultfd write-protect mode) or "softdirty"
-//                   (/proc/self/pagemap soft-dirty bits); "software" dies
-//                   with a NYX_CHECK, since it never sees a target's direct
-//                   stores. Unavailable backends fall back to mprotect with
-//                   one warning (DESIGN.md §12)
-//   NYX_DIRTY_RING  capacity of the simulated hardware dirty ring (positive
-//                   pages per ring-full VM exit, default 512)
 //   NYX_SNAPSHOT_DEPTH  maximum depth of the VM snapshot tree (positive,
 //                   default 1 = the classic root+incremental pair); depths
 //                   >1 let the engine push extra snapshots at packet
@@ -75,8 +66,6 @@ double Wall(double def);       // NYX_WALL
 bool LockDebug(bool def);      // NYX_LOCK_DEBUG (overrides `def` both ways)
 bool Audit();                  // NYX_AUDIT
 std::string TracePath();       // NYX_TRACE ("" when unset)
-std::string Tracker();         // NYX_TRACKER ("" when unset)
-size_t DirtyRing(size_t def);  // NYX_DIRTY_RING
 size_t SnapshotDepth(size_t def);  // NYX_SNAPSHOT_DEPTH
 bool AnalyzeCheck();           // NYX_ANALYZE_CHECK
 

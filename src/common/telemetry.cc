@@ -49,8 +49,6 @@ const char* PhaseName(Phase phase) {
       return "snapshot-restore";
     case Phase::kDirtyReset:
       return "dirty-reset";
-    case Phase::kDirtySync:
-      return "dirty-sync";
     case Phase::kNetemu:
       return "netemu";
     case Phase::kGuestRun:

@@ -56,7 +56,6 @@ enum class Phase : uint8_t {
   kVerify,          // bytecode verifier at trust boundaries
   kSnapshotRestore, // root/incremental restore incl. devices + aux blob
   kDirtyReset,      // dirty-page copy loops + tracker re-arm (inside restore)
-  kDirtySync,       // passive-backend dirty harvest (pagemap scan / uffd drain)
   kNetemu,          // emulated network: connection setup, packet delivery
   kGuestRun,        // target code running until it blocks on input
   kCoverageMerge,   // folding the exec trace into global coverage

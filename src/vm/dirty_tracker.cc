@@ -6,19 +6,12 @@
 
 namespace nyx {
 
-DirtyTracker::DirtyTracker(size_t num_pages, size_t ring_capacity)
+DirtyTracker::DirtyTracker(size_t num_pages)
     : bitmap_(num_pages, 0),
       stack_(num_pages, 0),
-      ring_capacity_(ring_capacity > 0 ? ring_capacity : kDirtyRingCapacity),
       marks_counter_(telemetry::MetricRegistry::Global().RegisterCounter("vm.dirty_marks")),
       ring_exit_counter_(
-          telemetry::MetricRegistry::Global().RegisterCounter("vm.dirty_ring_exits")) {
-  // Last-write-wins across trackers, which is fine: every tracker in a
-  // process shares one config in practice, and the gauge exists so
-  // metrics.json records which ring size produced the exit counts.
-  telemetry::MetricRegistry::Global().RegisterGauge("vm.dirty_ring_capacity")
-      ->Set(ring_capacity_);
-}
+          telemetry::MetricRegistry::Global().RegisterCounter("vm.dirty_ring_exits")) {}
 
 void DirtyTracker::MarkDirty(uint32_t page) {
   // An out-of-range page means the fault handler or a guest write computed a
@@ -34,7 +27,7 @@ void DirtyTracker::MarkDirty(uint32_t page) {
   stack_[stack_size_++] = page;
   total_marks_++;
   marks_counter_->Add(1);
-  if (++ring_fill_ >= ring_capacity_) {
+  if (++ring_fill_ >= kDirtyRingCapacity) {
     ring_fill_ = 0;
     ring_exits_++;
     ring_exit_counter_->Add(1);

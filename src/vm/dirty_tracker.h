@@ -30,10 +30,7 @@ namespace nyx {
 
 class DirtyTracker {
  public:
-  // `ring_capacity` is the simulated hardware dirty-ring size: one ring-full
-  // VM exit is counted per that many newly dirtied pages (VmConfig /
-  // NYX_DIRTY_RING; kDirtyRingCapacity is the compile-time default).
-  explicit DirtyTracker(size_t num_pages, size_t ring_capacity = kDirtyRingCapacity);
+  explicit DirtyTracker(size_t num_pages);
 
   DirtyTracker(const DirtyTracker&) = delete;
   DirtyTracker& operator=(const DirtyTracker&) = delete;
@@ -83,18 +80,16 @@ class DirtyTracker {
 
   size_t num_pages() const { return bitmap_.size(); }
 
-  // Number of simulated ring-full VM exits (one per ring_capacity newly
-  // dirtied pages), for the throughput statistics.
+  // Number of simulated ring-full VM exits: one per kDirtyRingCapacity
+  // newly dirtied pages, the paper's dirty ring (§2.3).
   uint64_t ring_exits() const { return ring_exits_; }
   uint64_t total_marks() const { return total_marks_; }
-  size_t ring_capacity() const { return ring_capacity_; }
 
  private:
   std::vector<uint8_t> bitmap_;  // 1 byte per page, like KVM's log.
   std::vector<uint32_t> stack_;  // preallocated to num_pages.
   size_t stack_size_ = 0;
   size_t pinned_ = 0;  // stack_[0, pinned_) are pinned
-  size_t ring_capacity_;
   size_t ring_fill_ = 0;
   uint64_t ring_exits_ = 0;
   uint64_t total_marks_ = 0;

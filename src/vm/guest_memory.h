@@ -2,24 +2,18 @@
 //
 // The paper relies on KVM's hardware-assisted dirty logging: the CPU traps
 // the first write to each page and reports it to the hypervisor. We
-// reproduce the signal in userspace behind a pluggable DirtyBackend
-// (src/vm/dirty_backend.h, DESIGN.md §12): write-protection faults
-// (mprotect/SIGSEGV or userfaultfd-WP) or passive soft-dirty harvesting.
-// Whatever the backend, every first write per page lands in the same
-// preallocated DirtyTracker stack, so restore cost stays O(#dirty).
-//
-// A software-tracking mode (explicit Write()/Memset() calls) exists for unit
-// tests that want to exercise tracker logic without kernel machinery.
+// reproduce the signal in userspace with mprotect (DESIGN.md §12): the
+// region is write-protected, the first write to a page raises a SIGSEGV,
+// and the handler marks the page in the preallocated DirtyTracker stack and
+// makes it writable again. Restore cost stays O(#dirty).
 //
 // Restore protocol (used by Vm and the Agamotto manager):
-//   SyncDirty();                    // publish passive backends' dirty info
 //   <read tracker, decide pages>
 //   OpenForRestore(pages, n);       // make protected pages writable,
 //   <memcpy snapshot content in>    //   without polluting the dirty log
 //   SealAfterRestore();             // pin hot pages, re-protect opened +
 //                                   //   unpinned dirty, clear, re-arm
-// The old per-page mprotect toggle pair around each copy is gone: opening
-// and sealing coalesce runs of pages into single syscalls.
+// Opening and sealing coalesce runs of pages into single mprotect calls.
 //
 // Pinned pages (DESIGN.md §12). Each Seal/ReArm ends an epoch, and epochs
 // are grouped into windows of kPinWindow. A page dirty in kPinAfter epochs
@@ -36,14 +30,20 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "src/common/sync.h"
-#include "src/vm/dirty_backend.h"
 #include "src/vm/dirty_tracker.h"
 #include "src/vm/page.h"
 
 namespace nyx {
+
+// The mprotect wrapper for protection changes that are not dirty tracking
+// (the guard page, sealing the root snapshot's read-only view). The nyx_lint
+// `raw-mprotect` rule bans mprotect outside src/vm/guest_memory.*, so every
+// page-protection change is either tracking, here, or goes through this
+// greppable call. Aborts on failure.
+void RawProtect(void* addr, size_t len, int prot);
 
 // Last-resort hook consulted when a SIGSEGV cannot be resolved as a
 // dirty-tracking fault (e.g. a target bug walked off guest memory). If the
@@ -55,13 +55,7 @@ void SetUnresolvedFaultHook(UnresolvedFaultHook hook);
 
 class GuestMemory {
  public:
-  // `mode` is the *requested* backend; when its kernel feature is missing
-  // the region falls back to mprotect (one warning per mode per process)
-  // and mode() reports what actually runs. The default stays compile-time
-  // kMprotect — NYX_TRACKER is resolved only by VmConfig, so unit tests of
-  // one specific backend are immune to the environment.
-  GuestMemory(size_t num_pages, TrackingMode mode = TrackingMode::kMprotect,
-              size_t dirty_ring_capacity = kDirtyRingCapacity);
+  explicit GuestMemory(size_t num_pages);
   ~GuestMemory();
 
   GuestMemory(const GuestMemory&) = delete;
@@ -71,9 +65,6 @@ class GuestMemory {
   const uint8_t* base() const { return base_; }
   size_t size_bytes() const { return num_pages_ * kPageSize; }
   size_t num_pages() const { return num_pages_; }
-  // The backend actually running (after any fallback).
-  TrackingMode mode() const { return mode_; }
-  TrackingMode requested_mode() const { return requested_mode_; }
 
   // Write-protects the whole region and clears the dirty set. From this point
   // every first write per page is recorded.
@@ -83,11 +74,6 @@ class GuestMemory {
   void DisarmTracking();
 
   bool armed() const { return armed_; }
-
-  // Drains backend-internal dirty state into the tracker. Required before
-  // reading the tracker (and implicitly before Open/Seal/ReArm) for passive
-  // backends; a cheap no-op for fault-driven ones.
-  void SyncDirty();
 
   // Makes still-protected pages writable without marking them dirty; the
   // restore path writes snapshot content through this window. Pages already
@@ -103,8 +89,6 @@ class GuestMemory {
   // this window (or unpins all at the window's end), re-protects exactly the
   // unpinned dirty pages and clears the tracker (pinned pages stay dirty).
   // Alone, it is the cheap re-arm after a capture, when nothing was opened.
-  // Callers that read the tracker first must SyncDirty() before this on
-  // passive backends.
   void ReArmDirtyPages();
 
   // A trap costs ~8-9 µs per page (SIGSEGV, mprotect in the handler,
@@ -129,11 +113,6 @@ class GuestMemory {
     return reinterpret_cast<T*>(base_ + guest_offset);
   }
 
-  // Explicit accessors (required in software mode; allowed in both).
-  void Write(uint64_t guest_offset, const void* src, size_t len);
-  void Read(uint64_t guest_offset, void* dst, size_t len) const;
-  void Memset(uint64_t guest_offset, uint8_t value, size_t len);
-
   // Called by the SIGSEGV handler. Returns true if `addr` was a tracking
   // fault inside this region and has been resolved.
   bool HandleFault(uintptr_t addr);
@@ -143,8 +122,7 @@ class GuestMemory {
            addr < reinterpret_cast<uintptr_t>(base_) + size_bytes();
   }
 
-  // Protection-change syscalls issued (mprotect calls, uffd range ioctls or
-  // clear_refs resets depending on the backend), for overhead statistics.
+  // mprotect calls issued on the tracked range, for overhead statistics.
   uint64_t protect_calls() const { return protect_calls_.load(std::memory_order_relaxed); }
 
  private:
@@ -153,17 +131,19 @@ class GuestMemory {
   // the window's end, restarts the counts and unpins every page.
   void EndPinEpoch();
 
+  // Sets the protection of `count` pages from `first_page`: one mprotect
+  // call, counted in protect_calls().
+  void Protect(uint32_t first_page, size_t count, int prot);
+  // Coalesces runs of consecutive pages into single Protect calls.
+  void ProtectList(const uint32_t* pages, size_t n, int prot);
+
   uint8_t* base_ = nullptr;
   size_t num_pages_;
-  TrackingMode requested_mode_;
-  TrackingMode mode_;  // effective, after fallback
   bool armed_ = false;
-  bool registered_ = false;  // in the SIGSEGV region registry
   DirtyTracker tracker_;
   // Atomic because HandleFault bumps it from inside the SIGSEGV handler;
   // a plain field lets the compiler cache reads across the faulting writes.
   std::atomic<uint64_t> protect_calls_{0};
-  std::unique_ptr<DirtyBackend> backend_;
   // Pages opened (made writable while clean) since the last seal,
   // preallocated so restores never allocate.
   std::vector<uint32_t> opened_;
@@ -172,10 +152,10 @@ class GuestMemory {
   // kPinAfter; window_epochs_ counts the window's epochs so far.
   std::vector<uint8_t> window_dirty_epochs_;
   uint32_t window_epochs_ = 0;
-  // A region with fault-driven tracking must live its whole life on the
-  // thread that constructed it (the SIGSEGV handler only resolves faults for
-  // regions owned by the faulting thread — DESIGN.md §8.1). Debug builds
-  // check that at every arm/disarm boundary instead of trusting the comment.
+  // A region must live its whole life on the thread that constructed it
+  // (the SIGSEGV handler only resolves faults for regions owned by the
+  // faulting thread — DESIGN.md §8.1). Debug builds check that at every
+  // arm/disarm boundary instead of trusting the comment.
   ThreadChecker thread_checker_;
 };
 

@@ -1,5 +1,6 @@
 #include "src/vm/snapshot.h"
 
+#include <fcntl.h>
 #include <string.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -28,6 +29,33 @@ bool IsZeroPage(const uint8_t* page) {
 }
 
 }  // namespace
+
+Pagemap::Pagemap() : fd_(open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC)) {}
+
+Pagemap::~Pagemap() {
+  if (fd_ >= 0) {
+    close(fd_);
+  }
+}
+
+bool Pagemap::Read(const void* addr, size_t count, uint64_t* out) const {
+  if (fd_ < 0) {
+    return false;
+  }
+  auto* dst = reinterpret_cast<uint8_t*>(out);
+  size_t want = count * sizeof(uint64_t);
+  off_t off = static_cast<off_t>(reinterpret_cast<uintptr_t>(addr) / kPageSize * sizeof(uint64_t));
+  while (want > 0) {
+    const ssize_t got = pread(fd_, dst, want, off);
+    if (got <= 0) {
+      return false;
+    }
+    dst += got;
+    want -= static_cast<size_t>(got);
+    off += got;
+  }
+  return true;
+}
 
 RootSnapshot::RootSnapshot(const GuestMemory& mem, const DeviceState& devices,
                            const BlockDevice& disk)

@@ -31,6 +31,7 @@
 #ifndef SRC_VM_SNAPSHOT_H_
 #define SRC_VM_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +42,34 @@
 namespace nyx {
 
 inline constexpr uint64_t kReMirrorInterval = 2000;
+
+// /proc/self/pagemap: one 64-bit entry per virtual page of this process.
+// The root snapshot reads it to store only pages that are present (bit 63)
+// or swapped out (bit 62).
+class Pagemap {
+ public:
+  static constexpr unsigned kSwappedBit = 62;
+  static constexpr unsigned kPresentBit = 63;
+
+  Pagemap();  // opens the file; Read() fails if that did not work
+  ~Pagemap();
+
+  Pagemap(const Pagemap&) = delete;
+  Pagemap& operator=(const Pagemap&) = delete;
+
+  // Reads the entries of the `count` pages from page-aligned `addr` into
+  // `out`. False when the file is not open or the read comes up short.
+  bool Read(const void* addr, size_t count, uint64_t* out) const;
+
+  // A page that is neither present nor swapped out was never populated:
+  // anonymous memory in that state reads as zero.
+  static bool Populated(uint64_t entry) {
+    return ((entry >> kPresentBit) & 1) != 0 || ((entry >> kSwappedBit) & 1) != 0;
+  }
+
+ private:
+  int fd_ = -1;
+};
 
 class RootSnapshot {
  public:

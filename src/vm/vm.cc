@@ -9,7 +9,7 @@ namespace nyx {
 
 Vm::Vm(const VmConfig& config)
     : config_(config),
-      mem_(config.mem_pages, config.tracking, config.dirty_ring_capacity),
+      mem_(config.mem_pages),
       disk_(config.disk_sectors),
       visited_(config.mem_pages, 0),
       revert_(config.mem_pages, 0) {
@@ -74,7 +74,6 @@ void Vm::RestoreTo(size_t depth) {
   // optimization targets; the scope nests inside the engine's
   // snapshot-restore phase, so self-time splits them cleanly.
   telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
-  mem_.SyncDirty();
 
   const size_t lo = depth < cur_depth_ ? depth : cur_depth_;
   const size_t hi = depth < cur_depth_ ? cur_depth_ : depth;
@@ -157,7 +156,6 @@ size_t Vm::PushSnapshot(Bytes aux) {
   NYX_CHECK(depth <= config_.snapshot_depth)
       << "PushSnapshot beyond snapshot_depth " << config_.snapshot_depth;
   telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
-  mem_.SyncDirty();
 
   if (slots_.size() < depth) {
     slots_.resize(depth);

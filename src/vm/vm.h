@@ -48,12 +48,7 @@ namespace nyx {
 struct VmConfig {
   size_t mem_pages = 1024;     // 4 MiB default guest RAM
   size_t disk_sectors = 2048;  // 1 MiB default disk
-  // Requested dirty-tracking backend; NYX_TRACKER overrides the default,
-  // unavailable backends fall back to mprotect at attach time.
-  TrackingMode tracking = TrackingModeFromEnv(TrackingMode::kMprotect);
   bool fast_device_reset = true;  // false = QEMU-style serialize/deserialize
-  // Simulated hardware dirty-ring size (pages per ring-full VM exit).
-  size_t dirty_ring_capacity = env::DirtyRing(kDirtyRingCapacity);
   // Maximum depth of the incremental snapshot tree (1 = the classic
   // root+incremental pair). The engine pushes deeper snapshots at packet
   // boundaries when this allows it.

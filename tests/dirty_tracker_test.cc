@@ -137,21 +137,6 @@ TEST(DirtyTrackerTest, PinnedPagesSitAtTheBottomAndSurviveClear) {
   EXPECT_FALSE(t.IsDirty(9));
 }
 
-TEST(DirtyTrackerTest, ConfigurableRingCapacity) {
-  DirtyTracker t(256, 8);
-  EXPECT_EQ(t.ring_capacity(), 8u);
-  for (uint32_t p = 0; p < 7; p++) {
-    t.MarkDirty(p);
-  }
-  EXPECT_EQ(t.ring_exits(), 0u);
-  t.MarkDirty(7);
-  EXPECT_EQ(t.ring_exits(), 1u);
-  for (uint32_t p = 8; p < 24; p++) {
-    t.MarkDirty(p);
-  }
-  EXPECT_EQ(t.ring_exits(), 3u);
-}
-
 // Property: after any interleaving of marks and clears, bitmap and stack
 // agree exactly.
 class DirtyTrackerPropertyTest : public ::testing::TestWithParam<uint64_t> {};
