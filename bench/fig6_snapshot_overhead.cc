@@ -1,7 +1,5 @@
 // Figure 6: throughput of creating/loading incremental snapshots with n
-// dirty pages, Nyx-Net vs AGAMOTTO, on two VM sizes — plus a sweep the
-// paper's KVM setup could not ask: the depth-k snapshot tree against the
-// classic root+incremental pair on a staged message sequence (DESIGN.md §12).
+// dirty pages, Nyx-Net vs AGAMOTTO, on two VM sizes.
 //
 // This is a genuine wall-clock microbenchmark of the two snapshot
 // implementations (src/vm vs src/agamotto): real mmap/mprotect/memfd-CoW
@@ -102,52 +100,6 @@ Sample BenchAgamotto(size_t vm_pages, size_t dirty, size_t reps) {
   return s;
 }
 
-// Depth-k tree vs classic pair on a staged message sequence: `stages`
-// protocol stages each dirty `stage_pages` fresh pages; the tree snapshots
-// the first `depth` stage boundaries (exactly what the engine's auto-push
-// does at packet boundaries). Per iteration the bench returns to the
-// deepest state: restore to the deepest snapshot, then re-apply the
-// un-snapshotted stages by rewriting their pages — a *floor* on replay cost,
-// since real re-execution also runs the target. Larger depth => fewer
-// replayed stages and less dirt for the next restore to revert.
-double BenchTree(size_t vm_pages, size_t stages, size_t depth, size_t stage_pages,
-                 size_t tail, size_t reps) {
-  VmConfig cfg;
-  cfg.mem_pages = vm_pages;
-  cfg.disk_sectors = 16;
-  cfg.snapshot_depth = depth;
-  Vm vm(cfg);
-  vm.TakeRootSnapshot();
-
-  auto write_stage = [&](size_t s, uint8_t value) {
-    for (size_t i = 0; i < stage_pages; i++) {
-      vm.mem().base()[((s * stage_pages + i) % vm_pages) * kPageSize] = value;
-    }
-  };
-  for (size_t s = 0; s < stages; s++) {
-    write_stage(s, static_cast<uint8_t>(s + 1));
-    if (s < depth) {
-      vm.PushSnapshot();
-    }
-  }
-
-  double total = 0;
-  for (size_t r = 0; r < reps; r++) {
-    // Suffix dirt on top of the deepest state (the fuzzed tail packet).
-    for (size_t i = 0; i < tail; i++) {
-      vm.mem().base()[((stages * stage_pages + i) % vm_pages) * kPageSize] =
-          static_cast<uint8_t>(r + 1);
-    }
-    const auto t0 = Clock::now();
-    vm.RestoreTo(depth);
-    for (size_t s = depth; s < stages; s++) {
-      write_stage(s, static_cast<uint8_t>(s + 1));  // replay floor
-    }
-    total += MicrosSince(t0);
-  }
-  return total / static_cast<double>(reps);
-}
-
 // Page-granular write protection splits the guest mapping into up to two
 // VMAs per dirtied page; large dirty counts exceed the kernel's default
 // vm.max_map_count (65530) and mprotect starts failing. Hardware dirty
@@ -239,35 +191,6 @@ int main() {
       return 1;
     }
   }
-  // Depth-k tree vs the classic pair: 8 protocol stages x 512 pages, the
-  // tree snapshotting the first k stage boundaries. depth=1 IS the classic
-  // root+incremental pair; deeper trees replay fewer stages per iteration
-  // and revert less dirt per restore.
-  {
-    const size_t tree_pages = 64 * 1024 * 1024 / kPageSize;  // 64 MB VM
-    const size_t kStages = 8, kStagePages = 512, kTail = 64, kReps = 50;
-    printf("Snapshot tree: time back to the deepest of %zu stages (%zu pages/stage)\n",
-           kStages, kStagePages);
-    TextTable table({"tree depth", "per-iteration us", "speedup vs depth 1"});
-    double depth1_us = 0;
-    for (size_t depth : {1, 2, 4, 8}) {
-      telemetry::MetricRegistry::Global().ResetValues();
-      fprintf(stderr, "[fig6] tree depth=%zu...\n", depth);
-      const double us = BenchTree(tree_pages, kStages, depth, kStagePages, kTail, kReps);
-      if (!UpdatePhaseBreakdown(phase_out, "fig6-tree-depth" + std::to_string(depth),
-                                PhaseBreakdownSection())) {
-        telemetry::SetTelemetryEnabled(was_enabled);
-        return 1;
-      }
-      if (depth == 1) {
-        depth1_us = us;
-      }
-      table.AddRow({std::to_string(depth), Fmt(us), Fmt(depth1_us / us, 1) + "x"});
-    }
-    table.Print();
-    printf("\n");
-  }
-
   telemetry::SetTelemetryEnabled(was_enabled);
   telemetry::MetricRegistry::Global().ResetValues();
   fprintf(stderr, "[fig6] phase breakdown -> %s\n", phase_out.c_str());

@@ -57,7 +57,6 @@ double Wall(double def) { return DoubleOr("NYX_WALL", def); }
 bool LockDebug(bool def) { return FlagOr("NYX_LOCK_DEBUG", def); }
 bool Audit() { return Flag("NYX_AUDIT"); }
 std::string TracePath() { return StringOr("NYX_TRACE", ""); }
-size_t SnapshotDepth(size_t def) { return SizeOr("NYX_SNAPSHOT_DEPTH", def); }
 bool AnalyzeCheck() { return Flag("NYX_ANALYZE_CHECK"); }
 
 }  // namespace env

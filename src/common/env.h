@@ -7,6 +7,10 @@
 // into campaigns — a knob read deep inside a worker is invisible to the
 // person diffing two "identical" runs.
 //
+// Every knob is named at the start of a line of the list below; the nyx_lint
+// `knob-doc` rule checks that the list and the NYX_... literals read through
+// these accessors in src/ and bench/ name the same knobs.
+//
 // Knobs (all optional):
 //   NYX_RUNS        repeat count for bench campaigns (positive integer)
 //   NYX_VTIME       virtual-time budget per campaign in seconds (positive)
@@ -17,6 +21,7 @@
 //                   execution runs twice and end states are compared
 //   NYX_BENCH_OUT   output path override for BENCH_*.json writers
 //   NYX_FIG5_TARGETS / NYX_FIG6_VM_MB / NYX_MARIO_LEVELS  bench-local knobs
+//   NYX_TRIM_ENTRIES  corpus entries bench/corpus_analysis trims (default 12)
 //   NYX_TELEMETRY   enable the phase profiler / metric registry (flag);
 //                   implied by NYX_TRACE (src/common/telemetry.h)
 //   NYX_TRACE       path to write a Chrome trace-event JSON timeline of
@@ -24,10 +29,6 @@
 //   NYX_TRACE_RING  per-thread trace ring capacity in events (default 65536)
 //   NYX_PHASE_OUT   output path override for BENCH_phase_breakdown.json
 //                   (table3 / fig6 phase-breakdown passes)
-//   NYX_SNAPSHOT_DEPTH  maximum depth of the VM snapshot tree (positive,
-//                   default 1 = the classic root+incremental pair); depths
-//                   >1 let the engine push extra snapshots at packet
-//                   boundaries so restores revert only a suffix of pages
 //   NYX_ANALYZE_CHECK  differential soundness oracle for the bytecode
 //                   analyzer (flag): every corpus admission re-executes the
 //                   canonicalized program against the original with pinned
@@ -66,7 +67,6 @@ double Wall(double def);       // NYX_WALL
 bool LockDebug(bool def);      // NYX_LOCK_DEBUG (overrides `def` both ways)
 bool Audit();                  // NYX_AUDIT
 std::string TracePath();       // NYX_TRACE ("" when unset)
-size_t SnapshotDepth(size_t def);  // NYX_SNAPSHOT_DEPTH
 bool AnalyzeCheck();           // NYX_ANALYZE_CHECK
 
 }  // namespace env

@@ -20,7 +20,7 @@
 // the snapshot and executing the suffix must land exactly where executing
 // the whole program did. This directly validates that CreateIncremental +
 // RestoreIncremental is equivalent to re-execution — the oracle changes to
-// dirty tracking and the snapshot tree are validated against.
+// dirty tracking and the snapshot pair are validated against.
 //
 // The auditor is a debug oracle: it triples per-exec cost and is compiled
 // in always but constructed only when EngineConfig.audit is set.

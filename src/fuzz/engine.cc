@@ -153,7 +153,7 @@ ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
 
   // Audit mode (NYX_AUDIT=1): run the program, replay it down the identical
   // path, and compare end states. See src/fuzz/audit.h for the oracle.
-  const std::vector<ChainLink> pre_chain = chain_;
+  const std::optional<SnapshotLink> pre_link = link_;
   ExecResult result_a = RunInternal(input, cov);
   {
     // Everything past the primary execution is audit overhead:
@@ -164,15 +164,14 @@ ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
     telemetry::ScopedPhase phase(telemetry::Phase::kAudit);
     const StateFingerprint fp_a = CaptureFingerprint(cov, result_a);
 
-    // Force the replay down run A's exact path: A may have pushed new
-    // snapshots mid-run (the marker, or packet-boundary auto-pushes that
-    // extend the chain past A's own match), and the replay must compute
-    // the same chain match A did rather than shortcut through links A
-    // just recorded. Restoring the pre-A chain is sufficient: A only
-    // pushed *deeper* than its match, so every slot the restored chain
-    // can match is still valid, the first hash mismatch falls at the same
-    // depth, and B re-pushes the same snapshots from identical state.
-    chain_ = pre_chain;
+    // Force the replay down run A's exact path: when A ran from the root
+    // and created the incremental at the marker, the replay must run from
+    // the root too rather than resume through the link A just recorded.
+    // Restoring the pre-A link is sufficient: if A resumed, the link and
+    // its snapshot are unchanged; if not, the pre-A link does not match
+    // this input either, and B re-creates the same snapshot from
+    // identical state.
+    link_ = pre_link;
     CoverageMap audit_cov;
     ExecResult result_b = RunInternal(input, audit_cov);
     const StateFingerprint fp_b = CaptureFingerprint(audit_cov, result_b);
@@ -206,25 +205,13 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
   size_t start_op = 0;
   {
     telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotRestore);
-    // Deepest chain link whose recorded prefix the new input shares. Links
-    // match in order; the first mismatch caps the depth (anything deeper
-    // was captured past a diverging op). The VM bounds the search to its
-    // valid-slot prefix.
-    size_t match = 0;
-    if (marker.has_value()) {
-      size_t limit = chain_.size() < vm_->max_valid_depth() ? chain_.size()
-                                                            : vm_->max_valid_depth();
-      for (size_t d = 1; d <= limit; d++) {
-        const ChainLink& link = chain_[d - 1];
-        if (link.ops_hashed > input.ops.size() ||
-            input.OpsHash(link.ops_hashed) != link.hash) {
-          break;
-        }
-        match = d;
-      }
-    }
-    if (match > 0) {
-      vm_->RestoreTo(match);
+    // Resume from the incremental when the new input shares the prefix it
+    // was captured after, marker included.
+    const bool resume = marker.has_value() && link_.has_value() && vm_->has_incremental() &&
+                        link_->ops_hashed <= input.ops.size() &&
+                        input.OpsHash(link_->ops_hashed) == link_->hash;
+    if (resume) {
+      vm_->RestoreIncremental();
       RestoreInterpState(vm_->current_aux());
       start_op = resume_op_;
       result.used_incremental = true;
@@ -232,7 +219,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
       vm_->RestoreRoot();
       RestoreInterpState(vm_->current_aux());
       start_op = 0;
-      chain_.clear();
+      link_.reset();
     }
   }
 
@@ -251,7 +238,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
   for (size_t i = start_op; i < input.ops.size() && !ctx.crash().crashed; i++) {
     const Op& op = input.ops[i];
     if (op.is_snapshot()) {
-      if (vm_->cur_depth() != 0) {
+      if (result.used_incremental || result.created_incremental) {
         // Malformed input with a second marker (Validate rejects these, but
         // the engine must not abort on one): ignore it.
         continue;
@@ -261,8 +248,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
       // The link hash covers the marker op itself, so a later match implies
       // the candidate input also carries the marker at this position and
       // resuming at i+1 skips exactly the executed prefix.
-      chain_.clear();
-      chain_.push_back({input.OpsHash(i + 1), static_cast<uint32_t>(i + 1)});
+      link_ = SnapshotLink{input.OpsHash(i + 1), static_cast<uint32_t>(i + 1)};
       result.created_incremental = true;
       continue;
     }
@@ -294,18 +280,6 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
           result.packets_delivered++;
           clock_.Advance(config_.cost.per_byte_ns * op.data.size());
           GuardedStep(*target_, ctx);
-          // Deepen the snapshot chain at packet boundaries once the marker
-          // established depth 1 — the next related input resumes past this
-          // packet instead of replaying it. Crashed states are never worth
-          // resuming from.
-          if (vm_->cur_depth() >= 1 && vm_->cur_depth() < config_.vm.snapshot_depth &&
-              !ctx.crash().crashed) {
-            const size_t d =
-                vm_->PushSnapshot(SerializeInterpState(static_cast<uint32_t>(i + 1)));
-            chain_.resize(d - 1);
-            chain_.push_back({input.OpsHash(i + 1), static_cast<uint32_t>(i + 1)});
-            result.created_incremental = true;
-          }
         }
         break;
       }
@@ -442,7 +416,7 @@ uint64_t InputRngHash(const Program& input) {
 
 void NyxEngine::DropIncremental() {
   vm_->DropIncremental();
-  chain_.clear();
+  link_.reset();
 }
 
 std::vector<Bytes> NyxEngine::LastResponses() const {

@@ -8,15 +8,13 @@
 //   * ops are interpreted in order: connection ops queue connections,
 //     packet ops deliver one packet and let the target run until it blocks,
 //     close ops signal peer EOF;
-//   * the snapshot marker op triggers creation of the depth-1 incremental
-//     snapshot (with the interpreter + netemu state riding along in the
-//     snapshot's aux blob); when VmConfig::snapshot_depth allows, further
-//     snapshots are pushed automatically at later packet boundaries,
-//     growing a linear chain of resume points;
-//   * each chain link records the ops-hash of the input prefix it resumed
-//     past. If the next input shares a prefix with the chain, the engine
-//     restores to the *deepest* matching link and resumes at the op after
-//     it — long shared message sequences pay only for their unshared tail.
+//   * the snapshot marker op triggers creation of the incremental snapshot
+//     (with the interpreter + netemu state riding along in the snapshot's
+//     aux blob), and the engine records the ops-hash of the input prefix up
+//     to and including the marker;
+//   * if the next input shares that prefix, the engine restores the
+//     incremental snapshot and resumes at the op after the marker — only
+//     the suffix runs again.
 //
 // After the run the VM is left dirty; the next Run() restores as needed.
 
@@ -144,15 +142,14 @@ class NyxEngine {
   uint32_t resume_op_ = 0;
   size_t connection_ops_seen_ = 0;
 
-  // One entry per tree snapshot depth: link d (index d-1) was captured
-  // after executing ops [0, ops_hashed) whose hash was `hash`. The chain
-  // mirrors the VM's valid-slot prefix; restores match the deepest link
-  // whose prefix the new input shares.
-  struct ChainLink {
+  // The incremental snapshot's resume point: it was captured after
+  // executing ops [0, ops_hashed), the marker op last, whose hash was
+  // `hash`. Unset when this engine holds no incremental to resume from.
+  struct SnapshotLink {
     uint64_t hash;
     uint32_t ops_hashed;
   };
-  std::vector<ChainLink> chain_;
+  std::optional<SnapshotLink> link_;
   uint64_t execs_ = 0;
 };
 

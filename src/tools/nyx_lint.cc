@@ -47,6 +47,12 @@
 //                   through GuestMemory so it always knows which pages are
 //                   armed; one-off protection changes that are not dirty
 //                   tracking use nyx::RawProtect.
+//   knob-doc        every "NYX_..." literal passed to env::Flag, FlagOr,
+//                   SizeOr, DoubleOr or StringOr in src/ or bench/ is named
+//                   at the start of a `//   NYX_...` line of the knob list
+//                   in src/common/env.h, and every knob named there is read
+//                   by such a call. Calls that pass a variable are out of
+//                   scope.
 //   include-path    quoted project includes must use the full path from the
 //                   repository root ("src/...").
 //   local-warnings  -Wall/-Wextra/-Wno-* belong in the top-level
@@ -55,6 +61,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -244,6 +251,80 @@ bool DeclaresAtomicInteger(const std::string& code) {
   return false;
 }
 
+// ---- knob-doc rule -------------------------------------------------------
+
+struct KnobSite {
+  std::string file;
+  size_t line;
+};
+
+// Knob -> first site, filled while the files are linted and compared by
+// CheckKnobDoc once all of them are.
+std::map<std::string, KnobSite> g_knobs_read;
+std::map<std::string, KnobSite> g_knobs_listed;
+
+constexpr const char* kKnobListFile = "src/common/env.h";
+
+// Records every "NYX_..." literal passed straight to a typed env accessor.
+// env::Flag( and a bare Flag( both count; IsFlag( or a Flag( member of
+// something else does not.
+void CollectKnobReads(const std::string& rel, size_t lineno, const std::string& code) {
+  for (const char* accessor : {"Flag(", "FlagOr(", "SizeOr(", "DoubleOr(", "StringOr("}) {
+    const std::string call(accessor);
+    size_t pos = 0;
+    while ((pos = code.find(call, pos)) != std::string::npos) {
+      const bool start_ok = pos == 0 || (!IsIdentChar(code[pos - 1]) && code[pos - 1] != '.' &&
+                                         code[pos - 1] != '>');
+      pos += call.size();
+      while (pos < code.size() && code[pos] == ' ') {
+        pos++;
+      }
+      if (!start_ok || code.compare(pos, 5, "\"NYX_") != 0) {
+        continue;
+      }
+      const size_t end = code.find('"', pos + 1);
+      if (end != std::string::npos) {
+        g_knobs_read.emplace(code.substr(pos + 1, end - pos - 1), KnobSite{rel, lineno});
+      }
+    }
+  }
+}
+
+// Records the knobs named at the start of a knob-list line: `//   NYX_A`,
+// or several joined as `//   NYX_A / NYX_B`, then the description.
+void CollectKnobList(const std::string& rel, size_t lineno, const std::string& line) {
+  if (!StartsWith(line, "//   NYX_")) {
+    return;
+  }
+  size_t pos = 5;  // past "//   "
+  while (true) {
+    size_t end = pos;
+    while (end < line.size() && IsIdentChar(line[end])) {
+      end++;
+    }
+    g_knobs_listed.emplace(line.substr(pos, end - pos), KnobSite{rel, lineno});
+    if (line.compare(end, 7, " / NYX_") != 0) {
+      return;
+    }
+    pos = end + 3;
+  }
+}
+
+void CheckKnobDoc() {
+  for (const auto& [knob, site] : g_knobs_read) {
+    if (g_knobs_listed.count(knob) == 0) {
+      Report(site.file, site.line, "knob-doc",
+             knob + " is read here but not listed in the knob list of " + kKnobListFile);
+    }
+  }
+  for (const auto& [knob, site] : g_knobs_listed) {
+    if (g_knobs_read.count(knob) == 0) {
+      Report(site.file, site.line, "knob-doc",
+             knob + " is listed but nothing in src/ or bench/ reads it; drop it from the list");
+    }
+  }
+}
+
 // ---- per-file driver -----------------------------------------------------
 
 void LintSourceLines(const std::string& rel, const std::vector<std::string>& lines) {
@@ -275,6 +356,10 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
   // them. Tests and benches compare via the constants too, but are not
   // linted for it — assertions on raw values there are deliberate.
   const bool errno_impl = StartsWith(rel, "src/netemu/") || !StartsWith(rel, "src/") || self;
+  // Knob reads count in the program and its benches; the linter's own
+  // fixtures are not reads.
+  const bool knob_reads = (StartsWith(rel, "src/") || StartsWith(rel, "bench/")) && !self;
+  const bool knob_list = rel == kKnobListFile;
 
   // Countdown of lines during which a NYX_SNAPSHOT_STATE/NYX_EXEC_EPHEMERAL
   // annotation still covers a following declaration (annotation line itself
@@ -286,6 +371,13 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
   for (size_t i = 0; i < lines.size(); i++) {
     const size_t lineno = i + 1;
     const std::string code = StripLineComment(lines[i]);
+
+    if (knob_reads) {
+      CollectKnobReads(rel, lineno, code);
+    }
+    if (knob_list) {
+      CollectKnobList(rel, lineno, lines[i]);
+    }
 
     if (!rng_impl && !self &&
         (HasBareCall(code, "rand(") || HasBareCall(code, "srand(") ||
@@ -442,12 +534,15 @@ void LintTree(const fs::path& root, const char* subdir) {
 
 // Each fixture is linted as if it were the named file; `want` is the rule
 // expected to fire exactly `count` times (0 = rule must stay silent).
+// `knob_list`, when set, is linted first as the one line of
+// src/common/env.h, for the knob-doc rule.
 struct Fixture {
   const char* name;
   const char* path;
   std::vector<const char*> lines;
   const char* want;
   size_t count;
+  const char* knob_list = nullptr;
 };
 
 int SelfTest() {
@@ -527,16 +622,29 @@ int SelfTest() {
        {"if (n == kErrConnReset) {"}, "raw-errno", 0},
       {"errno literal in tests is deliberate", "tests/fixture.cc",
        {"EXPECT_EQ(n, -104);"}, "raw-errno", 0},
+      {"unlisted knob read", "bench/fixture.cc",
+       {"const size_t n = env::SizeOr(\"NYX_FIXTURE\", 12);"}, "knob-doc", 1},
+      {"listed knob read", "src/fuzz/fixture.cc",
+       {"const bool on = env::Flag(\"NYX_FIXTURE\");"}, "knob-doc", 0,
+       "//   NYX_FIXTURE  a fixture knob"},
+      {"listed knob nothing reads", "src/common/env.h",
+       {"//   NYX_OTHER / NYX_FIXTURE  fixture knobs"}, "knob-doc", 2},
   };
 
   int failures = 0;
   for (const Fixture& f : fixtures) {
     g_violations.clear();
+    g_knobs_read.clear();
+    g_knobs_listed.clear();
+    if (f.knob_list != nullptr) {
+      LintSourceLines(kKnobListFile, {f.knob_list});
+    }
     std::vector<std::string> lines;
     for (const char* l : f.lines) {
       lines.push_back(l);
     }
     LintSourceLines(f.path, lines);
+    CheckKnobDoc();
     size_t hits = 0;
     for (const Violation& v : g_violations) {
       if (v.rule == f.want) {
@@ -573,6 +681,7 @@ int main(int argc, char** argv) {
   for (const char* subdir : {"src", "tests", "bench", "examples"}) {
     LintTree(root, subdir);
   }
+  CheckKnobDoc();
 
   for (const Violation& v : g_violations) {
     fprintf(stderr, "%s:%zu: [%s] %s\n", v.file.c_str(), v.line, v.rule.c_str(),

@@ -67,15 +67,8 @@ BlockDevice::IncrementalLayer BlockDevice::CaptureIncremental() const {
 }
 
 void BlockDevice::RestoreFromIncremental(const IncrementalLayer& inc, const RootLayer& root) {
-  // Restoring *forward* (to a still-valid deeper tree snapshot) can target
-  // sectors the layer captured that are not currently dirty — e.g. a sector
-  // written between two snapshots, untouched since restoring to the
-  // shallower one. Union them in so the copy loop covers them; for backward
-  // restores the stack already contains every layer sector and this adds
-  // nothing.
-  for (uint32_t s : inc.base_dirty) {
-    MarkSectorDirty(s);
-  }
+  // The stack already holds every sector the layer captured: they were
+  // dirty at capture time and stay marked until a root restore.
   for (uint32_t s : dirty_stack_) {
     auto it = inc.sectors.find(s);
     const uint8_t* src = it != inc.sectors.end()

@@ -119,14 +119,15 @@ class IncrementalSnapshot {
   bool valid() const { return valid_; }
   void Invalidate() { valid_ = false; }
 
-  // Pages dirtied between the parent snapshot and this capture (the delta
-  // this capture stores). A later restore past this snapshot must revert
-  // these in addition to the current dirty stack.
+  // Pages dirtied between the root state and this capture (the delta
+  // this capture stores). A later root restore must revert these in
+  // addition to the current dirty stack.
   const std::vector<uint32_t>& base_pages() const { return base_pages_; }
 
   // True when `page` is in this capture's delta, i.e. PagePtr(page) holds
-  // content captured here rather than inherited root content. The snapshot
-  // tree's lineage resolution (Vm::RestoreTo) walks ancestors with this.
+  // content captured here rather than inherited root content.
+  // Vm::RestoreIncremental copies such a page from here and every other
+  // page from the root.
   bool has_page(uint32_t page) const { return in_delta_[page] != 0; }
 
   const uint8_t* PagePtr(uint32_t page) const {

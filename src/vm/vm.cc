@@ -25,9 +25,9 @@ void Vm::TakeRootSnapshot(Bytes aux) {
   root_ = std::make_unique<RootSnapshot>(mem_, devices_, disk_);
   root_aux_ = std::move(aux);
   current_aux_ = root_aux_;
-  // Old mirrors map the previous root's memfd; the whole tree goes away.
-  slots_.clear();
-  cur_depth_ = 0;
+  // The old mirror maps the previous root's memfd.
+  inc_.reset();
+  inc_base_live_ = false;
   disk_.ClearDirty();
   mem_.ArmTracking();
 }
@@ -44,64 +44,21 @@ void Vm::RestoreDevices(const DeviceState& saved) {
   }
 }
 
-size_t Vm::max_valid_depth() const {
-  // Validity is a contiguous prefix by construction: pushes invalidate
-  // everything deeper, drops and root restores invalidate everything.
-  size_t d = 0;
-  while (d < slots_.size() && slots_[d].snap != nullptr && slots_[d].snap->valid()) {
-    d++;
-  }
-  return d;
-}
-
-const uint8_t* Vm::ResolvePage(size_t depth, uint32_t page) const {
-  // Deepest slot at or above `depth` whose delta captured the page wins;
-  // pages no slot captured still hold root content at that depth.
-  for (size_t e = depth; e >= 1; e--) {
-    const auto& snap = slots_[e - 1].snap;
-    if (snap != nullptr && snap->has_page(page)) {
-      return snap->PagePtr(page);
-    }
-  }
-  return root_->PagePtr(page);
-}
-
-void Vm::RestoreTo(size_t depth) {
-  NYX_CHECK(root_ != nullptr) << "RestoreTo before TakeRootSnapshot";
-  NYX_CHECK(depth == 0 || has_snapshot_at(depth))
-      << "RestoreTo(" << depth << ") without a valid snapshot at that depth";
-  // Page copies and re-arming are the dirty-reset cost the paper's stack
-  // optimization targets; the scope nests inside the engine's
-  // snapshot-restore phase, so self-time splits them cleanly.
-  telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
-
-  const size_t lo = depth < cur_depth_ ? depth : cur_depth_;
-  const size_t hi = depth < cur_depth_ ? cur_depth_ : depth;
-
-  // Revert set: current dirt plus the deltas of slots (lo, hi] — the
-  // unshared suffix between the current state and the target. Deltas of
-  // slots <= lo are common ancestry and stay untouched; that is the entire
-  // point of the tree. Invalidated slots' deltas still count (memory may
-  // hold their content), which is why slots are retained after
-  // invalidation. Deduplicated via the preallocated visited bitmap.
+void Vm::RestorePages(std::span<const uint32_t> delta, const IncrementalSnapshot* inc) {
+  // Revert set: current dirt plus `delta`, deduplicated via the
+  // preallocated visited bitmap.
   size_t n = 0;
-  for (const uint32_t p : mem_.tracker().dirty()) {
+  auto add = [&](uint32_t p) {
     if (visited_[p] == 0) {
       visited_[p] = 1;
       revert_[n++] = p;
     }
+  };
+  for (const uint32_t p : mem_.tracker().dirty()) {
+    add(p);
   }
-  for (size_t e = lo + 1; e <= hi; e++) {
-    const auto& snap = slots_[e - 1].snap;
-    if (snap == nullptr) {
-      continue;
-    }
-    for (const uint32_t p : snap->base_pages()) {
-      if (visited_[p] == 0) {
-        visited_[p] = 1;
-        revert_[n++] = p;
-      }
-    }
+  for (const uint32_t p : delta) {
+    add(p);
   }
 
   // Open still-protected pages once (coalesced), copy, seal once — instead
@@ -110,26 +67,11 @@ void Vm::RestoreTo(size_t depth) {
   for (size_t i = 0; i < n; i++) {
     const uint32_t p = revert_[i];
     visited_[p] = 0;
-    memcpy(mem_.base() + static_cast<size_t>(p) * kPageSize, ResolvePage(depth, p), kPageSize);
+    const uint8_t* src =
+        inc != nullptr && inc->has_page(p) ? inc->PagePtr(p) : root_->PagePtr(p);
+    memcpy(mem_.base() + static_cast<size_t>(p) * kPageSize, src, kPageSize);
   }
   mem_.SealAfterRestore();
-  cur_depth_ = depth;
-
-  if (depth == 0) {
-    disk_.RestoreFromRoot(root_->disk());
-    RestoreDevices(root_->devices());
-    current_aux_ = root_aux_;
-    stats_.root_restores++;
-  } else {
-    const TreeSlot& slot = slots_[depth - 1];
-    disk_.RestoreFromIncremental(slot.snap->disk(), root_->disk());
-    RestoreDevices(slot.snap->devices());
-    current_aux_ = slot.aux;
-    stats_.incremental_restores++;
-    if (depth >= 2) {
-      stats_.deep_restores++;
-    }
-  }
 
   stats_.pages_restored += n;
   if (cost_ != nullptr) {
@@ -138,64 +80,61 @@ void Vm::RestoreTo(size_t depth) {
 }
 
 void Vm::RestoreRoot() {
-  RestoreTo(0);
-  // The scheduled input changed: every slot describes descendants of states
-  // just discarded. Invalidation does not clean guest memory — it is root
-  // again already — but retained deltas keep later restores correct if a
-  // slot is recaptured.
-  for (TreeSlot& slot : slots_) {
-    if (slot.snap != nullptr) {
-      slot.snap->Invalidate();
-    }
+  NYX_CHECK(root_ != nullptr) << "RestoreRoot before TakeRootSnapshot";
+  // Page copies and re-arming are the dirty-reset cost the paper's stack
+  // optimization targets; the scope nests inside the engine's
+  // snapshot-restore phase, so self-time splits them cleanly.
+  telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
+  // Retained delta: the incremental's pages left the dirty tracker when it
+  // was captured, and dropping it did not clean them.
+  std::span<const uint32_t> delta;
+  if (inc_base_live_) {
+    delta = inc_->base_pages();
   }
+  RestorePages(delta, nullptr);
+  inc_base_live_ = false;
+  DropIncremental();
+  disk_.RestoreFromRoot(root_->disk());
+  RestoreDevices(root_->devices());
+  current_aux_ = root_aux_;
+  stats_.root_restores++;
 }
 
-size_t Vm::PushSnapshot(Bytes aux) {
-  NYX_CHECK(root_ != nullptr) << "PushSnapshot before TakeRootSnapshot";
-  const size_t depth = cur_depth_ + 1;
-  NYX_CHECK(depth <= config_.snapshot_depth)
-      << "PushSnapshot beyond snapshot_depth " << config_.snapshot_depth;
+void Vm::RestoreIncremental() {
+  NYX_CHECK(has_incremental()) << "RestoreIncremental without a valid incremental snapshot";
   telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
+  // Memory already holds the delta; only the dirt on top of it moves.
+  RestorePages({}, inc_.get());
+  disk_.RestoreFromIncremental(inc_->disk(), root_->disk());
+  RestoreDevices(inc_->devices());
+  current_aux_ = inc_aux_;
+  stats_.incremental_restores++;
+}
 
-  if (slots_.size() < depth) {
-    slots_.resize(depth);
-  }
-  TreeSlot& slot = slots_[depth - 1];
-  if (slot.snap == nullptr) {
-    slot.snap = std::make_unique<IncrementalSnapshot>(*root_);
+void Vm::CreateIncremental(Bytes aux) {
+  NYX_CHECK(root_ != nullptr) << "CreateIncremental before TakeRootSnapshot";
+  NYX_CHECK(!inc_base_live_) << "CreateIncremental away from the root state";
+  telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
+  if (inc_ == nullptr) {
+    inc_ = std::make_unique<IncrementalSnapshot>(*root_);
   }
   const size_t dirty = mem_.tracker().stack_size();
-  slot.snap->Capture(mem_, devices_, disk_);
-  // Deeper slots described descendants of the state this capture replaced.
-  for (size_t e = depth; e < slots_.size(); e++) {
-    if (slots_[e].snap != nullptr) {
-      slots_[e].snap->Invalidate();
-    }
-  }
+  inc_->Capture(mem_, devices_, disk_);
   mem_.ReArmDirtyPages();
-  cur_depth_ = depth;
-  slot.aux = std::move(aux);
-  current_aux_ = slot.aux;
+  inc_base_live_ = true;
+  inc_aux_ = std::move(aux);
+  current_aux_ = inc_aux_;
 
   stats_.incremental_creates++;
   stats_.pages_captured += dirty;
   if (cost_ != nullptr) {
     Charge(dirty * cost_->incremental_create_page_ns + cost_->device_reset_fast_ns);
   }
-  return depth;
-}
-
-void Vm::CreateIncremental(Bytes aux) {
-  NYX_CHECK(cur_depth_ == 0)
-      << "CreateIncremental away from the root state; use PushSnapshot for deeper captures";
-  PushSnapshot(std::move(aux));
 }
 
 void Vm::DropIncremental() {
-  for (TreeSlot& slot : slots_) {
-    if (slot.snap != nullptr) {
-      slot.snap->Invalidate();
-    }
+  if (inc_ != nullptr) {
+    inc_->Invalidate();
   }
 }
 

@@ -8,8 +8,8 @@
 //    map, site hashes, guest pages, device state, disk, crash identity —
 //    under a pinned per-exec RNG (engine::CheckRewriteEquivalence).
 //  * TrimProgram's output must keep the coverage fingerprint of the input
-//    and replay audit-clean with incremental snapshots in play
-//    (snapshot_depth = 2, audit = run-twice page-hash oracle).
+//    and replay audit-clean with incremental snapshots in play (audit =
+//    run-twice page-hash oracle).
 //
 // Random programs come from the mutator's own Repair path, so the
 // distribution matches what a campaign actually executes: arbitrary op
@@ -95,12 +95,11 @@ TEST_P(AnalyzeSoundnessTest, TrimPreservesCoverageAndRepliesAuditClean) {
   ASSERT_TRUE(reg.has_value());
   const Spec spec = reg->make_spec();
 
-  // Audit + depth-2 snapshots: trim probes replay through incremental
+  // Audit + incremental snapshots: trim probes replay through incremental
   // restores, and the run-twice oracle cross-checks every restored page.
   EngineConfig cfg;
   cfg.vm.mem_pages = 256;
   cfg.vm.disk_sectors = 256;
-  cfg.vm.snapshot_depth = 2;
   cfg.audit = true;
   cfg.seed = 11;
   NyxEngine engine(cfg, reg->factory, spec);
@@ -109,8 +108,8 @@ TEST_P(AnalyzeSoundnessTest, TrimPreservesCoverageAndRepliesAuditClean) {
   Rng rng(0xdeed);
   for (int trial = 0; trial < 30; trial++) {
     Program p = RandomProgram(spec, rng);
-    // Bias toward snapshot-bearing inputs: depth > 1 only matters when the
-    // program carries a marker for the incremental layer to key on.
+    // Bias toward snapshot-bearing inputs: the incremental snapshot only
+    // comes into play when the program carries a marker to key on.
     if (!p.SnapshotMarkerPos().has_value() && !p.PacketOpIndices(spec).empty()) {
       p.InsertSnapshotAfterPacket(spec, 0);
     }

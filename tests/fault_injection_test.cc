@@ -192,12 +192,11 @@ TEST(FaultInjectionTest, FaultedCampaignIsRepeatIdentical) {
 
 TEST(FaultInjectionTest, AuditedFaultedCampaignStaysDivergenceFree) {
   // The acceptance bar for fault snapshotting: an audited campaign with
-  // incremental snapshots (depth >= 1) and fault injection on replays
-  // bit-identically — fault queues and reset flags really do restore.
+  // incremental snapshots and fault injection replays bit-identically —
+  // fault queues and reset flags really do restore.
   EngineConfig ecfg;
   ecfg.vm.mem_pages = 256;
   ecfg.vm.disk_sectors = 256;
-  ecfg.vm.snapshot_depth = 2;
   ecfg.audit = true;
   const CampaignResult result = RunFaultedCampaign(ecfg);
   EXPECT_GT(result.faults_injected, 0u);

@@ -106,125 +106,31 @@ TEST(SnapshotAuditTest, CrossRestoreAuditRunsAndPasses) {
   EXPECT_EQ(engine.execs(), 1u);
 }
 
-TEST(SnapshotAuditTest, DeepSnapshotTreeReplaysDivergenceFree) {
-  // With snapshot_depth > 1 the engine pushes further snapshots at packet
-  // boundaries past the marker and later resumes from the deepest matching
-  // link. Every stage of that machinery must stay audit-clean: the replay,
-  // the cross-restore through the deepest snapshot, and a later run of the
-  // same input resuming at depth >= 2.
-  const Spec spec = Spec::GenericNetwork();
-  EngineConfig cfg = AuditedConfig();
-  cfg.vm.snapshot_depth = 3;
-  NyxEngine engine(cfg, MakeLightFtp, spec);
-  engine.Boot();
-
-  Builder b(spec);
-  ValueRef con = b.Connection();
-  for (const char* line :
-       {"USER anonymous", "PASS x", "CWD /tmp", "PWD", "LIST", "NOOP"}) {
-    b.Packet(con, std::string(line) + "\r\n");
-  }
-  Program p = *b.Build();
-  p.InsertSnapshotAfterPacket(spec, 1);
-
-  CoverageMap cov;
-  ExecResult r1 = engine.Run(p, cov);
-  EXPECT_FALSE(r1.crash.crashed);
-  EXPECT_TRUE(r1.created_incremental);
-  EXPECT_EQ(engine.vm().max_valid_depth(), 3u);
-  EXPECT_EQ(engine.auditor()->stats().divergences, 0u);
-  EXPECT_GE(engine.auditor()->stats().cross_audits, 1u);
-
-  // Same input again: the primary run must shortcut through the deepest
-  // snapshot, and the audited replay must still match.
-  cov.Reset();
-  ExecResult r2 = engine.Run(p, cov);
-  EXPECT_TRUE(r2.used_incremental);
-  EXPECT_GT(engine.vm_stats().deep_restores, 0u);
-  EXPECT_EQ(engine.auditor()->stats().divergences, 0u);
-}
-
 TEST(SnapshotAuditTest, PinnedPagesReplayDivergenceFree) {
-  // Campaigns long enough for the pages every exec writes to pin open
+  // A campaign long enough for the pages every exec writes to pin open
   // (GuestMemory::kPinAfter), and for the pin set to be dropped and
   // re-earned at a GuestMemory::kPinWindow boundary. A pinned page never
   // traps, so only its place in the dirty set gets it reverted: the
-  // run-twice oracle must stay clean at the classic depth and in a depth-3
-  // tree.
+  // run-twice oracle must stay clean.
   const std::optional<TargetRegistration> reg = FindTarget("lightftp");
   ASSERT_TRUE(reg.has_value());
   const Spec spec = reg->make_spec();
-  for (size_t depth : {1, 3}) {
-    EngineConfig cfg = AuditedConfig();
-    cfg.vm.snapshot_depth = depth;
-    FuzzerConfig fcfg;
-    fcfg.policy = PolicyMode::kBalanced;
-    NyxFuzzer fuzzer(cfg, reg->factory, spec, fcfg);
-    for (const Program& s : reg->make_seeds(spec)) {
-      fuzzer.AddSeed(s);
-    }
-    CampaignLimits limits = ShortLimits();
-    limits.vtime_seconds = 60.0;
-    limits.max_execs = 500;
-    CampaignResult result = fuzzer.Run(limits);
-    EXPECT_GT(result.pinned_pages, 0u) << "depth " << depth;
-    EXPECT_GT(result.root_restores + result.incremental_restores + result.incremental_creates,
-              GuestMemory::kPinWindow)
-        << "depth " << depth;
-    EXPECT_GT(result.incremental_restores, 0u) << "depth " << depth;
-    EXPECT_GT(result.pages_audited, 0u) << "depth " << depth;
-    EXPECT_EQ(result.audit_divergences, 0u) << "depth " << depth;
+  FuzzerConfig fcfg;
+  fcfg.policy = PolicyMode::kBalanced;
+  NyxFuzzer fuzzer(AuditedConfig(), reg->factory, spec, fcfg);
+  for (const Program& s : reg->make_seeds(spec)) {
+    fuzzer.AddSeed(s);
   }
-}
-
-TEST(SnapshotAuditTest, PartialChainMatchThenRepushStaysDivergenceFree) {
-  // Regression test for the case the campaign auditor caught: a mutated
-  // input that shares only the marker prefix matches chain depth 1, then
-  // auto-pushes *new* depth-2/3 snapshots mid-run. The audit replay must
-  // be forced onto the pre-run chain — otherwise it matches the links the
-  // primary run just recorded, resumes deeper than the primary did, and
-  // coverage/result fingerprints diverge.
-  const Spec spec = Spec::GenericNetwork();
-  EngineConfig cfg = AuditedConfig();
-  cfg.vm.snapshot_depth = 3;
-  NyxEngine engine(cfg, MakeLightFtp, spec);
-  engine.Boot();
-
-  auto build = [&](std::initializer_list<const char*> tail) {
-    Builder b(spec);
-    ValueRef con = b.Connection();
-    b.Packet(con, "USER anonymous\r\n");
-    b.Packet(con, "PASS x\r\n");
-    for (const char* line : tail) {
-      b.Packet(con, std::string(line) + "\r\n");
-    }
-    Program p = *b.Build();
-    p.InsertSnapshotAfterPacket(spec, 1);
-    return p;
-  };
-
-  // First input builds a full depth-3 chain past the marker.
-  Program first = build({"CWD /tmp", "PWD", "LIST"});
-  CoverageMap cov;
-  ExecResult r1 = engine.Run(first, cov);
-  EXPECT_TRUE(r1.created_incremental);
-  EXPECT_EQ(engine.vm().max_valid_depth(), 3u);
-  EXPECT_EQ(engine.auditor()->stats().divergences, 0u);
-
-  // Second input diverges right after the marker packet: its primary run
-  // matches depth 1 only, then pushes fresh deeper snapshots.
-  Program second = build({"NOOP", "PWD", "LIST"});
-  cov.Reset();
-  ExecResult r2 = engine.Run(second, cov);
-  EXPECT_TRUE(r2.used_incremental);
-  EXPECT_TRUE(r2.created_incremental);  // re-pushed depths 2..3 mid-run
-  EXPECT_EQ(engine.auditor()->stats().divergences, 0u);
-
-  // And the second input again: now a full-depth match.
-  cov.Reset();
-  ExecResult r3 = engine.Run(second, cov);
-  EXPECT_TRUE(r3.used_incremental);
-  EXPECT_EQ(engine.auditor()->stats().divergences, 0u);
+  CampaignLimits limits = ShortLimits();
+  limits.vtime_seconds = 60.0;
+  limits.max_execs = 500;
+  CampaignResult result = fuzzer.Run(limits);
+  EXPECT_GT(result.pinned_pages, 0u);
+  EXPECT_GT(result.root_restores + result.incremental_restores + result.incremental_creates,
+            GuestMemory::kPinWindow);
+  EXPECT_GT(result.incremental_restores, 0u);
+  EXPECT_GT(result.pages_audited, 0u);
+  EXPECT_EQ(result.audit_divergences, 0u);
 }
 
 // A target that violates the snapshot contract on purpose: `calls_` lives in

@@ -231,7 +231,7 @@ TEST(VmTest, UntouchedGuestRootIsEmptyAndHolesRevertToZeros) {
   vm.mem().base()[static_cast<size_t>(5) * kPageSize] = 0x11;
   vm.CreateIncremental();
   vm.mem().base()[static_cast<size_t>(hole) * kPageSize + 9] = 0xcd;
-  vm.RestoreTo(1);
+  vm.RestoreIncremental();
   EXPECT_TRUE(PageIsZero(vm, hole));
   EXPECT_EQ(vm.mem().base()[static_cast<size_t>(5) * kPageSize], 0x11);
   vm.RestoreRoot();
