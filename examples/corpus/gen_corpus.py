@@ -5,16 +5,16 @@ The files target the GenericNetwork spec (lightftp/kamailio): node 0 is
 `connection` (no args, outputs one conn), node 1 is `pkt` (borrows conn,
 bytes payload), node 2 is `fault` (borrows conn, 4-byte fault plan).
 
-Each file is a hand-picked analyzer fixture:
-  basic_session.nyx      plain FTP session, nothing for the analyzer to do
-  mid_fault.nyx          short-read fault with live packets after it (NOT dead)
-  dead_trailing_fault.nyx trailing fault no later op can observe (provably dead)
-  eintr_arg_a.nyx        kIntr fault, arg=0      \  identical NormalHash: the
-  eintr_arg_b.nyx        kIntr fault, arg=0x1234 /  arg is ignored for kIntr
+Each file is a hand-picked verifier fixture:
+  basic_session.nyx      plain FTP session
+  mid_fault.nyx          short-read fault with live packets after it
+  dead_trailing_fault.nyx conn-reset fault after the last packet
+  eintr_arg_a.nyx        kIntr fault, arg=0
+  eintr_arg_b.nyx        kIntr fault, arg=0x1234 (netemu ignores the arg)
 
-CI runs `nyx-net verify examples/corpus --target lightftp` over these, which
-asserts they stay wire-clean and that the a/b pair reports as a semantic
-duplicate group.
+CI runs `nyx-net verify examples/corpus --target lightftp` over these,
+which asserts that the wire verifier accepts every file and that the
+parser agrees with it.
 """
 
 import struct

@@ -128,7 +128,7 @@ ExecResult BaselineFuzzer::RunOneExec(const Program& input, CoverageMap& cov) {
 
   GuestContext ctx(*vm_, net_, cov, clock_, cost);
   ctx.set_asan(engine_config_.asan);
-  ctx.ReseedRng(Mix64(engine_config_.seed ^ input.OpsHash(input.ops.size())));
+  ctx.ReseedRng(engine_config_.seed);
 
   exec_conns_.clear();
   const bool desock = config_.kind == BaselineKind::kAflppDesock;

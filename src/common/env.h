@@ -21,7 +21,6 @@
 //                   execution runs twice and end states are compared
 //   NYX_BENCH_OUT   output path override for BENCH_*.json writers
 //   NYX_FIG5_TARGETS / NYX_FIG6_VM_MB / NYX_MARIO_LEVELS  bench-local knobs
-//   NYX_TRIM_ENTRIES  corpus entries bench/corpus_analysis trims (default 12)
 //   NYX_TELEMETRY   enable the phase profiler / metric registry (flag);
 //                   implied by NYX_TRACE (src/common/telemetry.h)
 //   NYX_TRACE       path to write a Chrome trace-event JSON timeline of
@@ -29,11 +28,6 @@
 //   NYX_TRACE_RING  per-thread trace ring capacity in events (default 65536)
 //   NYX_PHASE_OUT   output path override for BENCH_phase_breakdown.json
 //                   (table3 / fig6 phase-breakdown passes)
-//   NYX_ANALYZE_CHECK  differential soundness oracle for the bytecode
-//                   analyzer (flag): every corpus admission re-executes the
-//                   canonicalized program against the original with pinned
-//                   RNG and aborts on any guest-observable divergence
-//                   (src/spec/analyze.h, DESIGN.md §14)
 
 #ifndef SRC_COMMON_ENV_H_
 #define SRC_COMMON_ENV_H_
@@ -67,7 +61,6 @@ double Wall(double def);       // NYX_WALL
 bool LockDebug(bool def);      // NYX_LOCK_DEBUG (overrides `def` both ways)
 bool Audit();                  // NYX_AUDIT
 std::string TracePath();       // NYX_TRACE ("" when unset)
-bool AnalyzeCheck();           // NYX_ANALYZE_CHECK
 
 }  // namespace env
 }  // namespace nyx

@@ -80,9 +80,10 @@ std::vector<DivergenceAuditor::Divergence> DivergenceAuditor::CompareReplay(
   std::vector<Divergence> out;
   CompareState(a, b, registry, out);
 
-  // Replays reseed from the same input hash, so even the per-exec RNG end
-  // state must match. Cross-restore runs draw a different number of values
-  // (the resumed run skips the prefix), so only the replay path checks this.
+  // Every exec reseeds from the campaign seed, so a replay's per-exec RNG
+  // end state must match too. Cross-restore runs draw a different number of
+  // values (the resumed run skips the prefix), so only the replay path
+  // checks this.
   if (a.rng_hash != b.rng_hash) {
     Note(out, "rng", "engine.exec_rng");
   }

@@ -3,10 +3,26 @@
 #include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/common/telemetry.h"
-#include "src/spec/analyze.h"
 #include "src/spec/verify.h"
 
 namespace nyx {
+namespace {
+
+// One past the last op that steps the target. Fault ops only arm netemu
+// state for later steps, so a plan armed past this point is never
+// consulted.
+size_t StepsEnd(const Program& program, const Spec& spec) {
+  for (size_t i = program.ops.size(); i-- > 0;) {
+    const Op& op = program.ops[i];
+    if (op.node_type >= spec.node_type_count() ||
+        spec.node_type(op.node_type).semantic != NodeSemantic::kFault) {
+      return i + 1;
+    }
+  }
+  return 0;
+}
+
+}  // namespace
 
 bool Corpus::Add(Program program, uint64_t vtime_ns, size_t packet_count, double found_at_vsec) {
   NYX_DCHECK(thread_checker_.CalledOnValidThread());
@@ -18,12 +34,12 @@ bool Corpus::Add(Program program, uint64_t vtime_ns, size_t packet_count, double
       NYX_LOG_WARN << "corpus rejected ill-formed program: " << verdict.Summary();
       return false;
     }
-    // Second dedup key: semantic identity. The fuzzer only calls Add for
-    // inputs with new *merged* coverage, but dead-op padding or ignored
-    // fault-arg twiddles can still ride in on a genuinely-new trace's
-    // coattails via frontier import or racing shards.
-    if (!normal_seen_.insert(spec::NormalHash(program, *spec_)).second) {
-      semantic_dupes_++;
+    // The fuzzer only calls Add for inputs with new merged coverage, yet a
+    // mutant that differs from a queued entry only in where its marker sat,
+    // or in fault plans armed after its last step, can still report new
+    // coverage.
+    if (!seen_.insert(program.OpsHash(StepsEnd(program, *spec_))).second) {
+      corpus_dupes_++;
       return false;
     }
   }

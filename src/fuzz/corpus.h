@@ -43,17 +43,17 @@ class Corpus {
   Corpus() = default;
   explicit Corpus(const Spec* spec) : spec_(spec) {}
 
-  // Returns false (and drops the program) if verification rejects it, or if
-  // an entry with the same semantic identity (spec::NormalHash — dead ops
-  // elided, ignored fault args zeroed) is already queued. Coverage has
-  // already been merged globally by the time Add runs, so dropping a
-  // semantic duplicate loses nothing; it only stops dead-op-padded variants
-  // from bloating the schedule (StateAFL's observation — semantic identity,
-  // not wire identity, is what matters for stateful corpora).
+  // Returns false (and drops the program) if verification rejects it, or,
+  // with a spec attached, if an equal program is already queued. Programs
+  // are compared with their snapshot markers stripped and up to their last
+  // op that steps the target, so a mutant that only moved the marker of a
+  // queued entry, or appended fault plans nothing consults, is a duplicate.
+  // Coverage has already been merged globally by the time Add runs, so
+  // dropping a duplicate loses nothing.
   bool Add(Program program, uint64_t vtime_ns, size_t packet_count, double found_at_vsec);
 
-  // Semantic duplicates rejected so far (campaign stats).
-  uint64_t semantic_dupes() const { return semantic_dupes_; }
+  // Duplicates rejected so far (campaign stats).
+  uint64_t corpus_dupes() const { return corpus_dupes_; }
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
@@ -81,9 +81,10 @@ class Corpus {
   const Spec* spec_ = nullptr;
   std::deque<CorpusEntry> entries_;
   double weight_sum_ = 0.0;
-  // Normal-form hashes of every queued entry (spec attached only).
-  std::unordered_set<uint64_t> normal_seen_;
-  uint64_t semantic_dupes_ = 0;
+  // Ops hashes of every queued entry up to its last step (spec attached
+  // only).
+  std::unordered_set<uint64_t> seen_;
+  uint64_t corpus_dupes_ = 0;
   // The queue is worker-owned, never locked: one NyxFuzzer mutates it on
   // one thread start-to-finish (DESIGN.md §8.1). Frontier imports happen on
   // that same thread after ExchangeSync returns. Debug builds verify the

@@ -179,9 +179,8 @@ ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
 
     // Cross-restore check: if the replay recreated the incremental
     // snapshot, a third execution takes the restore-and-resume shortcut
-    // through it and must land exactly where the full replay did. Comparing
-    // against run B's own just-created snapshot keeps the per-exec RNG
-    // seeding consistent.
+    // through it and must land exactly where the full replay did, the run
+    // that created the snapshot it resumes from.
     if (!result_a.used_incremental && result_b.created_incremental && vm_->has_incremental()) {
       audit_cov.Reset();
       ExecResult result_c = RunInternal(input, audit_cov);
@@ -200,7 +199,6 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
   const uint64_t t0 = clock_.now_ns();
 
   const auto marker = input.SnapshotMarkerPos();
-  const uint64_t prefix_hash = marker.has_value() ? input.OpsHash(*marker) : 0;
 
   size_t start_op = 0;
   {
@@ -225,15 +223,9 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
 
   GuestContext ctx(*vm_, net_, cov, clock_, config_.cost);
   ctx.set_asan(config_.asan);
-  // Deterministic per-input noise: the same input always sees the same
-  // layout, different inputs differ. OpsHash is allocation-free — a full
-  // Serialize() here cost a heap round trip on every exec. Differential
-  // probes pin the hash (RunPinned) so a rewritten program sees the
-  // original's noise.
-  const uint64_t rng_hash = exec_rng_hash_override_.has_value()
-                                ? *exec_rng_hash_override_
-                                : prefix_hash ^ input.OpsHash(input.ops.size());
-  ctx.ReseedRng(Mix64(config_.seed ^ rng_hash));
+  // The campaign seed alone: an input-derived seed would cost a hash of the
+  // whole input per exec, and no target Step draws from this RNG.
+  ctx.ReseedRng(config_.seed);
 
   for (size_t i = start_op; i < input.ops.size() && !ctx.crash().crashed; i++) {
     const Op& op = input.ops[i];
@@ -340,78 +332,6 @@ StateFingerprint NyxEngine::CaptureFingerprint(const CoverageMap& cov,
   fp.packets_delivered = result.packets_delivered;
   fp.ijon_max = result.ijon_max;
   return fp;
-}
-
-ExecResult NyxEngine::RunPinned(const Program& input, uint64_t rng_hash, CoverageMap& cov) {
-  exec_rng_hash_override_ = rng_hash;
-  ExecResult result = Run(input, cov);
-  exec_rng_hash_override_.reset();
-  return result;
-}
-
-bool NyxEngine::CheckRewriteEquivalence(const Program& original, const Program& rewritten,
-                                        std::string* why) {
-  const uint64_t pin = InputRngHash(original);
-  auto probe = [&](const Program& p, CoverageMap& cov, ExecResult& result) {
-    DropIncremental();
-    result = RunPinned(p, pin, cov);
-    return CaptureFingerprint(cov, result);
-  };
-  CoverageMap cov_a;
-  CoverageMap cov_b;
-  ExecResult ra;
-  ExecResult rb;
-  const StateFingerprint fp_a = probe(original, cov_a, ra);
-  const StateFingerprint fp_b = probe(rewritten, cov_b, rb);
-  DropIncremental();
-
-  auto fail = [why](const std::string& msg) {
-    if (why != nullptr) {
-      *why = msg;
-    }
-    return false;
-  };
-  // host_hashes deliberately NOT compared — see the header-comment contract.
-  if (fp_a.page_hashes != fp_b.page_hashes) {
-    for (size_t p = 0; p < fp_a.page_hashes.size() && p < fp_b.page_hashes.size(); p++) {
-      if (fp_a.page_hashes[p] != fp_b.page_hashes[p]) {
-        return fail("guest page " + std::to_string(p) + " diverged");
-      }
-    }
-    return fail("guest page count diverged");
-  }
-  if (fp_a.device_hashes != fp_b.device_hashes) {
-    return fail("device registers diverged");
-  }
-  if (fp_a.disk_hash != fp_b.disk_hash) {
-    return fail("disk diverged");
-  }
-  if (fp_a.rng_hash != fp_b.rng_hash) {
-    return fail("per-exec RNG end state diverged");
-  }
-  if (fp_a.edge_hash != fp_b.edge_hash) {
-    return fail("coverage edge map diverged");
-  }
-  if (fp_a.sites != fp_b.sites) {
-    return fail("coverage site bitmap diverged");
-  }
-  if (fp_a.crashed != fp_b.crashed || fp_a.crash_id != fp_b.crash_id) {
-    return fail("crash outcome diverged");
-  }
-  if (fp_a.packets_delivered != fp_b.packets_delivered) {
-    return fail("packets_delivered diverged (" + std::to_string(fp_a.packets_delivered) +
-                " vs " + std::to_string(fp_b.packets_delivered) + ")");
-  }
-  if (fp_a.ijon_max != fp_b.ijon_max) {
-    return fail("ijon feedback diverged");
-  }
-  return true;
-}
-
-uint64_t InputRngHash(const Program& input) {
-  const auto marker = input.SnapshotMarkerPos();
-  const uint64_t prefix_hash = marker.has_value() ? input.OpsHash(*marker) : 0;
-  return prefix_hash ^ input.OpsHash(input.ops.size());
 }
 
 void NyxEngine::DropIncremental() {

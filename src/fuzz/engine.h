@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "src/common/env.h"
 #include "src/common/rng.h"
@@ -44,7 +43,7 @@ struct EngineConfig {
   VmConfig vm;
   CostModel cost;
   bool asan = false;
-  // Deterministic layout/noise seed mixed with the input hash each run.
+  // Seeds the guest RNG at boot and again before every execution.
   uint64_t seed = 1;
   // Snapshot divergence auditing (NYX_AUDIT=1, src/fuzz/audit.h): every
   // execution runs twice (three times when it creates an incremental
@@ -72,28 +71,6 @@ class NyxEngine {
 
   // Executes one input, filling `cov` with the trace.
   ExecResult Run(const Program& input, CoverageMap& cov);
-
-  // Executes one input with the per-exec RNG seed pinned to `rng_hash`
-  // instead of being derived from the input's own ops hash. Differential
-  // probes (analyzer soundness checks, corpus trimming) rewrite programs,
-  // and a rewritten program hashes differently — without the pin the runs
-  // would differ in deterministic noise, not semantics. Use InputRngHash()
-  // of the *original* program as the pin.
-  ExecResult RunPinned(const Program& input, uint64_t rng_hash, CoverageMap& cov);
-
-  // NYX_ANALYZE_CHECK differential oracle (DESIGN.md §14): executes
-  // `original` and `rewritten` back-to-back from the root snapshot with the
-  // RNG pinned to the original's hash, and compares guest-observable end
-  // states: guest memory pages, device registers, disk, per-exec RNG end
-  // state, coverage edges + sites, crash outcome, packets delivered, and
-  // IJON feedback. Host-side aux state (registry entry hashes) is
-  // deliberately excluded: eliding a trailing fault op leaves an
-  // armed-but-never-consulted netemu queue entry behind, which no guest
-  // read can observe — that is the analyzer's defined residue. Returns
-  // false and fills `why` on any mismatch. Leaves no incremental snapshot
-  // behind.
-  bool CheckRewriteEquivalence(const Program& original, const Program& rewritten,
-                               std::string* why = nullptr);
 
   // Discards the incremental snapshot (called when scheduling a new input).
   void DropIncremental();
@@ -133,9 +110,6 @@ class NyxEngine {
   SnapshotStateRegistry state_registry_;
   std::unique_ptr<DivergenceAuditor> auditor_;
   uint64_t last_exec_rng_hash_ = 0;
-  // When set, RunInternal seeds the per-exec RNG from this instead of the
-  // input's ops hash (see RunPinned).
-  std::optional<uint64_t> exec_rng_hash_override_;
 
   // Interpreter state (snapshot-managed via aux blobs).
   std::vector<int> value_conns_;  // value id -> connection handle
@@ -152,11 +126,6 @@ class NyxEngine {
   std::optional<SnapshotLink> link_;
   uint64_t execs_ = 0;
 };
-
-// The RNG-seeding hash RunInternal derives from an input (snapshot-prefix
-// hash xor full ops hash). Pass this for the original program to RunPinned
-// when probing a rewritten variant.
-uint64_t InputRngHash(const Program& input);
 
 }  // namespace nyx
 

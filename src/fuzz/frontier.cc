@@ -2,12 +2,11 @@
 
 #include "src/common/check.h"
 #include "src/common/telemetry.h"
-#include "src/spec/analyze.h"
 
 namespace nyx {
 
-CorpusFrontier::CorpusFrontier(size_t shards, const Spec* spec)
-    : shards_(shards), active_(shards), staged_(shards), next_(shards, 0), spec_(spec) {
+CorpusFrontier::CorpusFrontier(size_t shards)
+    : shards_(shards), active_(shards), staged_(shards), next_(shards, 0) {
   NYX_CHECK(shards > 0);
 }
 
@@ -15,16 +14,9 @@ void CorpusFrontier::FlipLocked() {
   for (size_t s = 0; s < shards_; s++) {
     for (Entry& e : staged_[s]) {
       // Dedup across the whole campaign; iterating in shard order makes the
-      // surviving copy (and its origin) independent of arrival order. The
-      // semantic key catches programs that differ only in dead ops or
-      // normalized fault args (spec/analyze.h) — both checks must pass for
-      // the entry to publish.
+      // surviving copy (and its origin) independent of arrival order.
       const uint64_t h = e.program.OpsHash(e.program.ops.size());
       if (!seen_.insert(h).second) {
-        continue;
-      }
-      if (spec_ != nullptr &&
-          !seen_normal_.insert(spec::NormalHash(e.program, *spec_)).second) {
         continue;
       }
       log_.push_back(std::move(e));

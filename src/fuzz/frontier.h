@@ -38,12 +38,7 @@ class CorpusFrontier {
     size_t origin = 0;  // shard that found it (importers skip their own)
   };
 
-  // With a spec attached, published entries are deduplicated on semantic
-  // identity (spec::NormalHash) in addition to the syntactic ops hash, so a
-  // dead-op-padded variant of an already-published program never crosses
-  // shards. The spec must outlive the frontier; pass nullptr to keep the
-  // syntactic-only behaviour (tests).
-  explicit CorpusFrontier(size_t shards, const Spec* spec = nullptr);
+  explicit CorpusFrontier(size_t shards);
 
   // Rendezvous: stages `fresh`, blocks until every active shard has arrived
   // (the last arriver flips the generation), then returns all log entries
@@ -89,9 +84,6 @@ class CorpusFrontier {
   std::vector<size_t> next_ NYX_GUARDED_BY(mu_);
   // Published program hashes.
   std::unordered_set<uint64_t> seen_ NYX_GUARDED_BY(mu_);
-  // Published normal-form hashes (spec attached only).
-  std::unordered_set<uint64_t> seen_normal_ NYX_GUARDED_BY(mu_);
-  const Spec* const spec_;
   GlobalCoverage merged_cov_ NYX_GUARDED_BY(mu_);
 };
 

@@ -5,7 +5,6 @@
 #include "src/common/check.h"
 #include "src/common/telemetry.h"
 #include "src/fuzz/frontier.h"
-#include "src/spec/analyze.h"
 
 namespace nyx {
 
@@ -64,20 +63,6 @@ bool NyxFuzzer::RunOne(const Program& input, CampaignResult& result) {
   return new_bits && !exec.crash.crashed;
 }
 
-void NyxFuzzer::MaybeAnalyzeCheck(const Program& input, CampaignResult& result) {
-  if (!config_.analyze_check) {
-    return;
-  }
-  const Program canon = spec::Canonicalize(input, spec_);
-  if (canon.OpsHash(canon.ops.size()) == input.OpsHash(input.ops.size())) {
-    return;  // identity rewrite: nothing to verify
-  }
-  std::string why;
-  const bool equivalent = engine_.CheckRewriteEquivalence(input, canon, &why);
-  NYX_CHECK(equivalent) << "NYX_ANALYZE_CHECK: canonical rewrite diverged: " << why;
-  result.analyze_checks++;
-}
-
 CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   CampaignResult result;
   // Per-thread delta, not the process-global counter: concurrent campaigns
@@ -134,7 +119,6 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
       record_coverage();
     }
     corpus_.SetVtime(i, last_exec_vtime_);
-    MaybeAnalyzeCheck(corpus_.entry(i).program, result);
   }
   record_coverage();
 
@@ -190,7 +174,6 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
       if (interesting) {
         found_since_last_schedule = true;
         mutated.StripSnapshotMarkers();
-        MaybeAnalyzeCheck(mutated, result);
         const size_t packets = mutated.PacketOpIndices(spec_).size();
         if (corpus_.Add(std::move(mutated), last_exec_vtime_, packets, vnow()) &&
             config_.frontier != nullptr) {
@@ -222,7 +205,6 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
         }
         if (RunOne(imp.program, result)) {
           found_since_last_schedule = true;
-          MaybeAnalyzeCheck(imp.program, result);
           const size_t packets = imp.program.PacketOpIndices(spec_).size();
           corpus_.Add(std::move(imp.program), last_exec_vtime_, packets, vnow());
           record_coverage();
@@ -248,7 +230,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   result.contract_soft_failures = GetThreadContractCounters().soft_failures - soft_at_start;
   result.faults_injected = engine_.net().faults_injected();
   result.faulted_bytes = engine_.net().faulted_bytes();
-  result.semantic_dupes = corpus_.semantic_dupes();
+  result.corpus_dupes = corpus_.corpus_dupes();
   const GuestMemory& mem = engine_.vm().mem();
   result.dirty_traps = mem.tracker().total_marks();
   result.protect_calls = mem.protect_calls();

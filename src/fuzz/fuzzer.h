@@ -58,10 +58,9 @@ struct CampaignResult {
   // fault applications and input bytes they dropped (src/netemu/netemu.h).
   uint64_t faults_injected = 0;
   uint64_t faulted_bytes = 0;
-  // Semantic-dedup rejections (Corpus::semantic_dupes) and differential
-  // analyzer checks performed (FuzzerConfig::analyze_check).
-  uint64_t semantic_dupes = 0;
-  uint64_t analyze_checks = 0;
+  // Programs the corpus rejected as equal to a queued entry
+  // (Corpus::corpus_dupes).
+  uint64_t corpus_dupes = 0;
   // Dirty tracking of a NyxFuzzer campaign's VM (src/vm/guest_memory.h):
   // first-write traps (DirtyTracker::total_marks), protection-change
   // syscalls, and pages pinned open at the end. A steady-state loop that
@@ -105,11 +104,9 @@ struct FuzzerConfig {
   // Let the mutator insert/mutate/delete NodeSemantic::kFault ops so
   // campaigns explore target error-handling paths ("No Peer, no Cry").
   bool fault_injection = false;
-  // Differential soundness oracle (NYX_ANALYZE_CHECK): for every input that
-  // enters the corpus, re-execute its canonical form against the original
-  // with pinned RNG and abort on any guest-observable divergence. Debug
-  // oracle — each check costs two extra executions.
-  bool analyze_check = env::AnalyzeCheck();
+  // Unread; bench/wallclock/wallclock.cc still assigns it. Delete it once
+  // that runner stops.
+  bool analyze_check = false;
 };
 
 class NyxFuzzer {
@@ -129,10 +126,6 @@ class NyxFuzzer {
   // Executes one input, folds in coverage/crash bookkeeping. Returns whether
   // it produced new coverage.
   bool RunOne(const Program& input, CampaignResult& result);
-
-  // FuzzerConfig::analyze_check hook: differentially verifies the analyzer's
-  // canonical rewrite of `input` (no-op when the rewrite is the identity).
-  void MaybeAnalyzeCheck(const Program& input, CampaignResult& result);
 
   const Spec& spec_;
   FuzzerConfig config_;

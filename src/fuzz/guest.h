@@ -113,8 +113,10 @@ class GuestContext {
   const CostModel& cost() const { return cost_; }
   VirtualClock& clock() { return clock_; }
 
-  // Deterministic per-execution randomness for targets that need it (e.g.
-  // initial heap layout noise). Reseeded by the engine each execution.
+  // Deterministic randomness for targets that need it (dcmtk draws its heap
+  // layout gap in Init). The engine seeds it from the campaign seed at boot
+  // and again before every execution, so every execution draws the same
+  // sequence whatever its input.
   Rng& rng() { return rng_; }
   void ReseedRng(uint64_t seed) { rng_.Seed(seed); }
 

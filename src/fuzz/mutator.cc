@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/spec/analyze.h"
 #include "src/spec/fault_plan.h"
 #include "src/spec/verify.h"
 
@@ -220,7 +219,7 @@ void Mutator::BindArgsLive(Op& op, const Program& program, size_t at) {
   for (size_t p = 0; p < op.args.size(); p++) {
     const int edge = p < node.borrows.size() ? node.borrows[p]
                                              : node.consumes[p - node.borrows.size()];
-    const std::vector<uint16_t> live = spec::LiveValuesAt(program, spec_, at, edge);
+    const std::vector<uint16_t> live = program.LiveValues(spec_, at, edge);
     if (!live.empty()) {
       op.args[p] = live[rng_.Below(live.size())];
     }

@@ -49,7 +49,7 @@ class Mutator {
   bool FaultMutation(Program& program, size_t first_mutable_op);
   // Binds each operand of `op` (about to be inserted at position `at`) to a
   // uniformly-random value of the required edge type that is *live* at that
-  // point (spec::LiveValuesAt). Operands with no live candidate are left for
+  // point (Program::LiveValues). Operands with no live candidate are left for
   // Repair. Landing on live connections by construction beats the old
   // zero-arg-then-Repair path, which always rebound to the latest value.
   void BindArgsLive(Op& op, const Program& program, size_t at);

@@ -1,10 +1,9 @@
 #include "src/fuzz/trim.h"
 
-#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "src/common/hash.h"
-#include "src/spec/analyze.h"
 
 namespace nyx {
 namespace {
@@ -12,7 +11,7 @@ namespace {
 // The trim oracle's notion of "same behaviour": coverage and observable
 // outcome, nothing else. Deliberately narrower than the full audit
 // fingerprint — trimming is allowed to drop packets and connections as long
-// as the trace and outcome are identical under pinned RNG.
+// as the trace and outcome are identical.
 struct CovFingerprint {
   uint64_t edge_hash = 0;
   uint64_t site_hash = 0;
@@ -26,10 +25,9 @@ struct CovFingerprint {
   }
 };
 
-CovFingerprint Probe(NyxEngine& engine, const Program& p, uint64_t pin, CoverageMap& cov,
-                     TrimStats& stats) {
+CovFingerprint Probe(NyxEngine& engine, const Program& p, CoverageMap& cov, TrimStats& stats) {
   cov.Reset();
-  const ExecResult r = engine.RunPinned(p, pin, cov);
+  const ExecResult r = engine.Run(p, cov);
   stats.probe_execs++;
   CovFingerprint fp;
   fp.edge_hash = Fnv1a64(cov.map().data(), cov.map().size());
@@ -40,132 +38,86 @@ CovFingerprint Probe(NyxEngine& engine, const Program& p, uint64_t pin, Coverage
   return fp;
 }
 
-// Candidate probe order for one pass. Analysis order: (provably) dead fault
-// ops first, then the speculative candidates the lattice flagged, then
-// payload ops from the tail inward, closes, and connections last (removing
-// a connection usually drags its whole cone along — most likely to fail,
-// so probed last). Naive order: reverse op index, the afl-tmin baseline.
-std::vector<size_t> OrderedCandidates(const Program& p, const spec::Analysis& a,
-                                      const Spec& spec, bool analysis_order) {
-  std::vector<size_t> order;
-  if (!analysis_order) {
-    for (size_t i = p.ops.size(); i-- > 0;) {
-      if (!a.ops[i].is_marker) order.push_back(i);
-    }
-    return order;
-  }
-  std::vector<size_t> dead;
-  std::vector<size_t> speculative;
-  std::vector<size_t> payload;
-  std::vector<size_t> closes;
-  std::vector<size_t> conns;
+// A pass sweeps every candidate once; passes repeat until a fixpoint or
+// this cap (removals can unlock further removals, e.g. a connection whose
+// last packet was just removed).
+constexpr size_t kMaxPasses = 8;
+
+// Adds op `seed` and every op transitively using its outputs to `removed`
+// (one flag per op of `p`) and returns `p` without the removed ops, args
+// renumbered densely. Value ids are produced in op order and every use
+// follows its def, so one forward pass finds the whole cone: an op goes
+// when it is the seed or names a removed op's output. An id the input
+// never produced is kept as-is.
+Program RemoveCone(const Program& p, const Spec& spec, size_t seed, std::vector<bool>& removed) {
+  removed[seed] = true;
+  constexpr uint16_t kRemoved = 0xffff;
+  std::vector<uint16_t> remap;  // old value id -> new value id
+  uint16_t next_id = 0;
+  Program out;
   for (size_t i = 0; i < p.ops.size(); i++) {
-    if (a.ops[i].is_marker) continue;
-    if (a.ops[i].provably_dead) {
-      dead.push_back(i);
-      continue;
-    }
-    if (a.ops[i].trim_candidate) {
-      speculative.push_back(i);
-      continue;
-    }
     const Op& op = p.ops[i];
-    if (op.node_type >= spec.node_type_count()) {
-      payload.push_back(i);
+    for (uint16_t arg : op.args) {
+      if (arg < remap.size() && remap[arg] == kRemoved) {
+        removed[i] = true;
+      }
+    }
+    const size_t outputs =
+        op.node_type < spec.node_type_count() ? spec.node_type(op.node_type).outputs.size() : 0;
+    if (removed[i]) {
+      remap.insert(remap.end(), outputs, kRemoved);
       continue;
     }
-    switch (spec.node_type(op.node_type).semantic) {
-      case NodeSemantic::kClose:
-        closes.push_back(i);
-        break;
-      case NodeSemantic::kConnection:
-        conns.push_back(i);
-        break;
-      case NodeSemantic::kPacket:
-      case NodeSemantic::kCustom:
-      case NodeSemantic::kFault:
-        payload.push_back(i);
-        break;
+    Op kept = op;
+    for (uint16_t& arg : kept.args) {
+      if (arg < remap.size()) {
+        arg = remap[arg];
+      }
     }
+    for (size_t o = 0; o < outputs; o++) {
+      remap.push_back(next_id++);
+    }
+    out.ops.push_back(std::move(kept));
   }
-  std::reverse(payload.begin(), payload.end());
-  order.insert(order.end(), dead.begin(), dead.end());
-  order.insert(order.end(), speculative.begin(), speculative.end());
-  order.insert(order.end(), payload.begin(), payload.end());
-  order.insert(order.end(), closes.begin(), closes.end());
-  order.insert(order.end(), conns.begin(), conns.end());
-  return order;
+  return out;
 }
 
 }  // namespace
 
 Program TrimProgram(NyxEngine& engine, const Spec& spec, const Program& input,
-                    const TrimOptions& options, TrimStats* stats) {
+                    TrimStats* stats) {
   TrimStats st;
   Program p = input;
   p.StripSnapshotMarkers();
   st.ops_before = p.ops.size();
   st.bytes_before = p.Serialize().size();
 
-  const uint64_t pin = InputRngHash(p);
   const uint64_t divergences_before =
       engine.auditor() != nullptr ? engine.auditor()->stats().divergences : 0;
 
   CoverageMap cov;
-  const CovFingerprint reference = Probe(engine, p, pin, cov, st);
+  const CovFingerprint reference = Probe(engine, p, cov, st);
 
-  // Batch pre-probe (analysis order only): the analyzer's whole dead +
-  // speculative set in one shot. When it lands — the common case, since
-  // provably-dead ops always survive removal — every flagged op costs one
-  // probe total instead of one each.
-  if (options.analysis_order) {
-    const spec::Analysis a = spec::Analyze(p, spec);
-    std::vector<size_t> batch;
-    for (size_t i = 0; i < p.ops.size(); i++) {
-      if (!a.ops[i].provably_dead && !a.ops[i].trim_candidate) continue;
-      const std::vector<size_t> cone = spec::RemovalCone(a, p, spec, i);
-      batch.insert(batch.end(), cone.begin(), cone.end());
-    }
-    if (!batch.empty()) {
-      std::optional<Program> candidate = spec::RemoveOps(p, spec, batch);
-      if (candidate.has_value() && Probe(engine, *candidate, pin, cov, st) == reference) {
-        p = std::move(*candidate);
+  for (size_t pass = 0; pass < kMaxPasses; pass++) {
+    // Removals accepted this pass are flags over the pass-start program, so
+    // the last accepted candidate is the pass result.
+    std::vector<bool> removed(p.ops.size(), false);
+    std::optional<Program> trimmed;
+    for (size_t i = p.ops.size(); i-- > 0;) {
+      if (removed[i]) {
+        continue;
+      }
+      std::vector<bool> trial = removed;
+      Program candidate = RemoveCone(p, spec, i, trial);
+      if (Probe(engine, candidate, cov, st) == reference) {
+        removed = std::move(trial);
+        trimmed = std::move(candidate);
       }
     }
-  }
-
-  for (size_t pass = 0; pass < options.max_passes; pass++) {
-    const spec::Analysis a = spec::Analyze(p, spec);
-    const std::vector<size_t> order = OrderedCandidates(p, a, spec, options.analysis_order);
-    // Accepted removals this pass, as indices into the pass-start program:
-    // analysis and cones stay valid for the survivors, so one analysis
-    // serves the whole sweep and removals are applied in one rewrite.
-    std::vector<bool> accepted(p.ops.size(), false);
-    std::vector<size_t> accepted_list;
-    bool changed = false;
-    for (size_t i : order) {
-      if (accepted[i]) continue;
-      std::vector<size_t> trial = accepted_list;
-      bool grew = false;
-      for (size_t c : spec::RemovalCone(a, p, spec, i)) {
-        if (!accepted[c]) {
-          trial.push_back(c);
-          grew = true;
-        }
-      }
-      if (!grew) continue;
-      std::optional<Program> candidate = spec::RemoveOps(p, spec, trial);
-      if (!candidate.has_value()) continue;
-      if (!(Probe(engine, *candidate, pin, cov, st) == reference)) continue;
-      accepted_list = std::move(trial);
-      for (size_t c : accepted_list) accepted[c] = true;
-      changed = true;
+    if (!trimmed.has_value()) {
+      break;
     }
-    if (!accepted_list.empty()) {
-      std::optional<Program> next = spec::RemoveOps(p, spec, accepted_list);
-      if (next.has_value()) p = std::move(*next);
-    }
-    if (!changed) break;
+    p = std::move(*trimmed);
   }
 
   st.ops_after = p.ops.size();

@@ -1,23 +1,16 @@
-// Analysis-guided corpus trimming (DESIGN.md §14).
+// Corpus trimming.
 //
 // afl-tmin-shaped minimizer for bytecode programs: repeatedly remove ops,
-// keep a removal iff a pinned-RNG re-execution reproduces the original's
-// coverage fingerprint (edges, sites, crash outcome, IJON feedback). What
-// the static analyzer contributes is the *order*: removal candidates are
-// probed dead-first (provably-dead fault ops, then speculative candidates —
-// remaining faults, unused-connection cones — then packet payload in
-// reverse, closes, connections), and whole dependency cones are removed per
-// probe so every probe is a Validate-clean program without Repair's
-// semantics-changing rebinding. A naive mode (reverse program order, one op
-// at a time) exists purely as the baseline the bench compares probe-exec
-// counts against.
+// keep a removal iff a re-execution reproduces the original's coverage
+// fingerprint (edges, sites, crash outcome, IJON feedback). Each pass
+// sweeps the ops in reverse order, and each probe removes a whole
+// dependency cone — an op plus every op transitively using its outputs — so
+// every probe is a Validate-clean program without Repair's
+// semantics-changing rebinding.
 //
-// All probes pin the per-exec RNG to the original input's hash
-// (NyxEngine::RunPinned), otherwise every rewrite would "differ" in
-// deterministic layout noise. When the engine runs with NYX_AUDIT=1 the
-// probes are audited executions, and TrimStats reports the divergence
-// delta — a trimmed corpus is only accepted by `nyx-net trim` when that
-// delta is zero (audit-clean oracle).
+// When the engine runs with NYX_AUDIT=1 the probes are audited executions,
+// and TrimStats reports the divergence delta — a trimmed corpus is only
+// accepted by `nyx-net trim` when that delta is zero (audit-clean oracle).
 
 #ifndef SRC_FUZZ_TRIM_H_
 #define SRC_FUZZ_TRIM_H_
@@ -31,18 +24,8 @@
 
 namespace nyx {
 
-struct TrimOptions {
-  // Probe candidates in analysis order (dead-first, cones); false = naive
-  // afl-tmin baseline (reverse op order).
-  bool analysis_order = true;
-  // A pass sweeps every candidate once; passes repeat until a fixpoint or
-  // this cap (removals can unlock further removals, e.g. a connection whose
-  // last packet was just removed).
-  size_t max_passes = 8;
-};
-
 struct TrimStats {
-  size_t probe_execs = 0;  // engine executions spent (the bench headline)
+  size_t probe_execs = 0;  // engine executions spent
   size_t ops_before = 0;
   size_t ops_after = 0;
   size_t bytes_before = 0;  // serialized wire sizes
@@ -54,9 +37,9 @@ struct TrimStats {
 
 // Minimizes `input` against the coverage-fingerprint oracle. The returned
 // program is Validate-clean whenever the input was, and always reproduces
-// the input's pinned-RNG coverage fingerprint exactly.
+// the coverage fingerprint of the input with its snapshot marker stripped.
 Program TrimProgram(NyxEngine& engine, const Spec& spec, const Program& input,
-                    const TrimOptions& options, TrimStats* stats);
+                    TrimStats* stats);
 
 }  // namespace nyx
 

@@ -158,6 +158,13 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   reg.RegisterCounter("root_restores")->Add(result.root_restores);
   reg.RegisterCounter("inc_creates")->Add(result.incremental_creates);
   reg.RegisterCounter("inc_restores")->Add(result.incremental_restores);
+  // Incremental restores per incremental snapshot created: how many execs
+  // each captured prefix served (0 when none was created).
+  reg.RegisterGauge("snapshot_reuse")
+      ->SetDouble(result.incremental_creates > 0
+                      ? static_cast<double>(result.incremental_restores) /
+                            static_cast<double>(result.incremental_creates)
+                      : 0.0);
   // Dirty tracking: traps and protection syscalls should stop growing once
   // the pages every exec writes are pinned open (DESIGN.md §12).
   reg.RegisterCounter("dirty_traps")->Add(result.dirty_traps);
@@ -180,11 +187,8 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   // bytes the target never saw.
   reg.RegisterCounter("faults_injected")->Add(result.faults_injected);
   reg.RegisterCounter("faulted_bytes")->Add(result.faulted_bytes);
-  // Bytecode analyzer (src/spec/analyze.h): semantic duplicates the corpus
-  // rejected, and differential rewrite checks performed (nonzero only with
-  // NYX_ANALYZE_CHECK=1; every one that completed proved an equivalence).
-  reg.RegisterCounter("semantic_dupes")->Add(result.semantic_dupes);
-  reg.RegisterCounter("analyze_checks")->Add(result.analyze_checks);
+  // Coverage-novel programs the corpus rejected as equal to a queued entry.
+  reg.RegisterCounter("corpus_dupes")->Add(result.corpus_dupes);
   // Process-wide lock traffic (common/sync.h): how often any annotated
   // mutex was taken and how often the taker had to block. A contended
   // count creeping toward the acquisition count means the frontier sync
@@ -199,12 +203,13 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
 // external scripts grep for them.
 std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
   static const char* kOrder[] = {
-      "execs",         "vtime_seconds", "execs_per_vsec", "branch_coverage",
-      "edge_coverage", "corpus_size",   "crashes",        "root_restores",
-      "inc_creates",   "inc_restores",  "dirty_traps",    "protect_calls",
-      "pinned_pages",  "pages_restored", "pages_captured", "root_pages", "contract_soft",
-      "contract_hard", "pages_audited", "divergences",   "faults_injected", "faulted_bytes",
-      "semantic_dupes", "analyze_checks", "lock_acquired", "lock_contended",
+      "execs",          "vtime_seconds",   "execs_per_vsec", "branch_coverage",
+      "edge_coverage",  "corpus_size",     "crashes",        "root_restores",
+      "inc_creates",    "inc_restores",    "snapshot_reuse", "dirty_traps",
+      "protect_calls",  "pinned_pages",    "pages_restored", "pages_captured",
+      "root_pages",     "contract_soft",   "contract_hard",  "pages_audited",
+      "divergences",    "faults_injected", "faulted_bytes",  "corpus_dupes",
+      "lock_acquired",  "lock_contended",
   };
   const std::vector<telemetry::MetricRegistry::Entry> entries = reg.Entries();
   std::ostringstream os;

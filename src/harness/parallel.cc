@@ -122,7 +122,7 @@ ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
   const Spec spec = reg->make_spec();
   const std::vector<Program> seeds = reg->make_seeds(spec);
 
-  CorpusFrontier frontier(shards, &spec);
+  CorpusFrontier frontier(shards);
   out.per_shard.resize(shards);
 
   // Dedicated threads, never a bounded pool: every shard must run
@@ -141,6 +141,7 @@ ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
       FuzzerConfig fcfg;
       fcfg.policy = NyxPolicyFor(cs.fuzzer);
       fcfg.seed = ShardSeed(cs.seed, s);
+      fcfg.fault_injection = cs.fault_injection;
       fcfg.frontier = &frontier;
       fcfg.shard = s;
 
@@ -173,6 +174,9 @@ ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
     m.contract_soft_failures += r.contract_soft_failures;
     m.pages_audited += r.pages_audited;
     m.audit_divergences += r.audit_divergences;
+    m.faults_injected += r.faults_injected;
+    m.faulted_bytes += r.faulted_bytes;
+    m.corpus_dupes += r.corpus_dupes;
     m.ijon_best = std::max(m.ijon_best, r.ijon_best);
     for (const auto& [id, rec] : r.crashes) {
       MergeCrash(m, id, rec);

@@ -274,6 +274,33 @@ void Program::Repair(const Spec& spec) {
   ops = std::move(repaired);
 }
 
+std::vector<uint16_t> Program::LiveValues(const Spec& spec, size_t at, int edge_type) const {
+  ValueTracker tracker;
+  const size_t end = std::min(at, ops.size());
+  for (size_t i = 0; i < end; i++) {
+    const Op& op = ops[i];
+    if (op.is_snapshot() || op.node_type >= spec.node_type_count()) {
+      continue;
+    }
+    const NodeTypeDef& node = spec.node_type(op.node_type);
+    if (op.args.size() == node.borrows.size() + node.consumes.size()) {
+      for (size_t c = node.borrows.size(); c < op.args.size(); c++) {
+        if (op.args[c] < tracker.values.size()) {
+          tracker.Kill(op.args[c]);
+        }
+      }
+    }
+    tracker.Produce(node);
+  }
+  std::vector<uint16_t> live;
+  for (size_t id = 0; id < tracker.values.size(); id++) {
+    if (tracker.values[id].live && tracker.values[id].edge_type == edge_type) {
+      live.push_back(static_cast<uint16_t>(id));
+    }
+  }
+  return live;
+}
+
 std::vector<size_t> Program::PacketOpIndices(const Spec& spec) const {
   std::vector<size_t> out;
   for (size_t i = 0; i < ops.size(); i++) {

@@ -57,6 +57,14 @@ struct Program {
   // Also strips duplicate snapshot markers (only the first is honoured).
   void Repair(const Spec& spec);
 
+  // Value ids of `edge_type` live immediately before op `at` (`at` past the
+  // end means end of program), in id order: the mutator's insertion-point
+  // binding map. Programs in the middle of a mutation are not valid yet, so
+  // this only assumes values are produced in op order: an op whose arity
+  // does not match its node type consumes nothing, and any other consumed
+  // id below the count of values produced so far dies, whatever its type.
+  std::vector<uint16_t> LiveValues(const Spec& spec, size_t at, int edge_type) const;
+
   // Indices of ops that deliver payload (semantic kPacket). The "number of
   // packets" the snapshot policies reason about.
   std::vector<size_t> PacketOpIndices(const Spec& spec) const;

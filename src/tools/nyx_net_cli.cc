@@ -14,13 +14,12 @@
 //       Convert a capture into bytecode seeds (section 4.4).
 //   nyx-net repro --target NAME --input FILE [--asan] [--seed N]
 //       Replay one input against the target and report the outcome.
-//   nyx-net trim --target NAME --input FILE [--out FILE] [--naive] [--seed N]
+//   nyx-net trim --target NAME --input FILE [--out FILE] [--seed N]
 //       Minimize one input while preserving its coverage fingerprint
-//       (analysis-guided by default; --naive for the afl-tmin-style order).
+//       (afl-tmin-style reverse sweep over dependency cones).
 //   nyx-net verify DIR --target NAME
-//       Batch-check every .nyx file in DIR: wire verification, analyzer
-//       facts, canonicalization idempotence, semantic duplicate groups.
-//       Exits nonzero if any file fails verification or idempotence.
+//       Batch-check every .nyx file in DIR against the wire verifier and
+//       the parser. Exits nonzero if any file fails either.
 //   nyx-net mario --level 1-1 [--policy ...] [--wall SECONDS]
 //       Solve a Super Mario level (section 5.3).
 
@@ -38,7 +37,6 @@
 #include "src/harness/campaign.h"
 #include "src/harness/table.h"
 #include "src/mario/mario_target.h"
-#include "src/spec/analyze.h"
 #include "src/spec/pcap.h"
 #include "src/spec/verify.h"
 #include "src/targets/registry.h"
@@ -322,12 +320,10 @@ int CmdTrim(const Args& args) {
   NyxEngine engine(engine_cfg, reg->factory, spec);
   engine.Boot();
 
-  TrimOptions opts;
-  opts.analysis_order = !args.Has("naive");
   TrimStats stats;
-  const Program trimmed = TrimProgram(engine, spec, *program, opts, &stats);
+  const Program trimmed = TrimProgram(engine, spec, *program, &stats);
 
-  printf("trim (%s order):\n", opts.analysis_order ? "analysis" : "naive");
+  printf("trim:\n");
   printf("  ops:         %zu -> %zu\n", stats.ops_before, stats.ops_after);
   printf("  bytes:       %zu -> %zu\n", stats.bytes_before, stats.bytes_after);
   printf("  probe execs: %zu\n", stats.probe_execs);
@@ -346,10 +342,9 @@ int CmdTrim(const Args& args) {
   return stats.audit_divergences == 0 ? 0 : 1;
 }
 
-// Batch static verification + analyzer report over a corpus directory.
-// Unlike ReadProgram (which verifies and logs) this surfaces the full
-// per-file verdict, the analyzer's dead-op facts, and semantic duplicate
-// groups across the whole directory, so it doubles as a corpus linter.
+// Batch static verification over a corpus directory. Unlike ReadProgram
+// (which verifies and logs) this surfaces the full per-file verdict, so it
+// doubles as a corpus linter.
 int CmdVerify(const std::string& dir, const Args& args) {
   auto reg = FindTarget(args.Get("target"));
   if (!reg.has_value()) {
@@ -378,7 +373,6 @@ int CmdVerify(const std::string& dir, const Args& args) {
   }
 
   size_t failures = 0;
-  std::map<uint64_t, std::vector<std::string>> by_normal_hash;
   for (const std::string& file : files) {
     FILE* f = fopen(file.c_str(), "rb");
     if (f == nullptr) {
@@ -408,30 +402,7 @@ int CmdVerify(const std::string& dir, const Args& args) {
       failures++;
       continue;
     }
-
-    const spec::Analysis a = spec::Analyze(*program, spec);
-    const Program canon = spec::Canonicalize(*program, spec);
-    const Program canon2 = spec::Canonicalize(canon, spec);
-    const bool idempotent = canon.OpsHash(canon.ops.size()) == canon2.OpsHash(canon2.ops.size());
-    const uint64_t normal = spec::NormalHash(*program, spec);
-    printf("%-40s ok   ops=%-3zu dead=%-2zu canon=%-3zu normal=%016llx%s\n", file.c_str(),
-           program->ops.size(), a.provably_dead, canon.ops.size(),
-           static_cast<unsigned long long>(normal),
-           idempotent ? "" : "  FAIL canonicalize not idempotent");
-    if (!idempotent) {
-      failures++;
-    }
-    by_normal_hash[normal].push_back(file);
-  }
-
-  for (const auto& [hash, group] : by_normal_hash) {
-    if (group.size() < 2) {
-      continue;
-    }
-    printf("semantic duplicates (normal=%016llx):\n", static_cast<unsigned long long>(hash));
-    for (const std::string& file : group) {
-      printf("  %s\n", file.c_str());
-    }
+    printf("%-40s ok   ops=%zu\n", file.c_str(), program->ops.size());
   }
   printf("%zu file(s), %zu failure(s)\n", files.size(), failures);
   return failures == 0 ? 0 : 1;

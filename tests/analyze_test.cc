@@ -1,13 +1,16 @@
-// Unit tests for the bytecode dataflow analyzer (src/spec/analyze.h):
-// def/use chains, the connection-state lattice, provably-dead fault
-// detection, removal cones, canonicalization, NormalHash semantic identity,
-// and the corpus/frontier semantic-dedup integration.
+// Tests for the program facts the fuzzer derives from def/use alone: the
+// corpus's duplicate check (a program equal to a queued entry once its
+// snapshot marker and its trailing fault plans are stripped is rejected),
+// the mutator's live-value binding map (Program::LiveValues) and trim's
+// removal cones (an op goes together with every op using its outputs).
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/fuzz/corpus.h"
-#include "src/fuzz/frontier.h"
-#include "src/spec/analyze.h"
+#include "src/fuzz/engine.h"
+#include "src/fuzz/trim.h"
 #include "src/spec/builder.h"
 #include "src/spec/fault_plan.h"
 #include "src/spec/program.h"
@@ -16,207 +19,73 @@
 namespace nyx {
 namespace {
 
-Bytes Plan(FaultKind kind, uint8_t count = 1, uint16_t arg = 0) {
-  FaultPlan plan;
-  plan.kind = kind;
-  plan.count = count;
-  plan.arg = arg;
-  return plan.Encode();
-}
+TEST(AnalyzeTest, CorpusRejectsProgramEqualOnceMarkerStripped) {
+  Spec spec = Spec::GenericNetwork();
+  Corpus corpus(&spec);
 
-// conn; pkt; fault(kind); [pkt]
-Program FaultProgram(const Spec& spec, FaultKind kind, uint16_t arg, bool trailing) {
   Builder b(spec);
   ValueRef con = b.Connection();
-  b.Packet(con, "hello");
-  EXPECT_TRUE(b.Node("fault", {con}, Plan(kind, 1, arg)).has_value());
-  if (!trailing) {
-    b.Packet(con, "world");
+  b.Packet(con, "USER a\r\n");
+  b.Packet(con, "PASS b\r\n");
+  const Program plain = *b.Build();
+  EXPECT_TRUE(corpus.Add(plain, 1000, 2, 0.0));
+
+  // The same ops with the marker after either packet: the corpus stores
+  // entries marker-stripped, so both are the queued entry again.
+  for (size_t packet = 0; packet < 2; packet++) {
+    Program marked = plain;
+    marked.InsertSnapshotAfterPacket(spec, packet);
+    ASSERT_TRUE(marked.SnapshotMarkerPos().has_value());
+    ASSERT_NE(marked.OpsHash(marked.ops.size()), plain.OpsHash(plain.ops.size()));
+    EXPECT_FALSE(corpus.Add(std::move(marked), 1000, 2, 0.0)) << "marker after packet " << packet;
   }
-  auto prog = b.Build();
-  EXPECT_TRUE(prog.has_value());
-  return *prog;
+  EXPECT_EQ(corpus.size(), 1u);
+  EXPECT_EQ(corpus.corpus_dupes(), 2u);
+
+  // A program that differs in one payload byte still gets in.
+  Program other = plain;
+  other.ops[2].data.back() = '!';
+  EXPECT_TRUE(corpus.Add(std::move(other), 1000, 2, 0.0));
+  EXPECT_EQ(corpus.size(), 2u);
+  EXPECT_EQ(corpus.corpus_dupes(), 2u);
 }
 
-TEST(AnalyzeTest, DefUseChains) {
-  Spec spec = Spec::MultiConnection();
-  Builder b(spec);
-  ValueRef c1 = b.Connection();
-  ValueRef c2 = b.Connection();
-  b.Packet(c1, "a");
-  b.Packet(c1, "b");
-  b.Close(c2);
-  Program p = *b.Build();
-
-  const spec::Analysis a = spec::Analyze(p, spec);
-  ASSERT_EQ(a.values.size(), 2u);
-  EXPECT_EQ(a.values[0].def_op, 0u);
-  EXPECT_EQ(a.values[0].uses, (std::vector<size_t>{2, 3}));
-  EXPECT_FALSE(a.values[0].consumed_by.has_value());
-  EXPECT_EQ(a.values[0].last_use(), 3u);
-  EXPECT_EQ(a.values[1].def_op, 1u);
-  ASSERT_TRUE(a.values[1].consumed_by.has_value());
-  EXPECT_EQ(*a.values[1].consumed_by, 4u);
-  // An unused value's liveness interval collapses to its def.
-  Builder b2(spec);
-  b2.Connection();
-  const spec::Analysis a2 = spec::Analyze(*b2.Build(), spec);
-  EXPECT_TRUE(a2.values[0].unused());
-  EXPECT_EQ(a2.values[0].last_use(), 0u);
-}
-
-TEST(AnalyzeTest, ConnectionStateLattice) {
-  Spec spec = Spec::MultiConnection();
-  Builder b(spec);
-  ValueRef fresh = b.Connection();
-  ValueRef used = b.Connection();
-  ValueRef closed = b.Connection();
-  ValueRef reset = b.Connection();
-  b.Packet(used, "x");
-  b.Close(closed);
-  b.Node("fault", {reset}, Plan(FaultKind::kConnReset));
-  b.Packet(reset, "after-reset-armed");
-  (void)fresh;
-  Program p = *b.Build();
-
-  const spec::Analysis a = spec::Analyze(p, spec);
-  EXPECT_EQ(a.values[0].state, spec::ConnState::kFresh);
-  EXPECT_EQ(a.values[1].state, spec::ConnState::kUsed);
-  EXPECT_EQ(a.values[2].state, spec::ConnState::kClosed);
-  // Reset-kind plans dominate later borrows: once armed, the lattice stays
-  // at kReset (the fault may fire on any later syscall).
-  EXPECT_EQ(a.values[3].state, spec::ConnState::kReset);
-  EXPECT_STREQ(spec::ConnStateName(spec::ConnState::kReset), "reset");
-}
-
-TEST(AnalyzeTest, TrailingFaultIsProvablyDead) {
+TEST(AnalyzeTest, CorpusRejectsProgramEqualUpToTrailingFaults) {
   Spec spec = Spec::GenericNetwork();
-  Program trailing = FaultProgram(spec, FaultKind::kShortRead, 8, /*trailing=*/true);
-  const spec::Analysis a = spec::Analyze(trailing, spec);
-  EXPECT_EQ(a.provably_dead, 1u);
-  EXPECT_TRUE(a.ops[2].provably_dead);
-  EXPECT_EQ(a.ProvablyDeadOps(), (std::vector<size_t>{2}));
+  Corpus corpus(&spec);
+  const Bytes plan = [] {
+    FaultPlan p;
+    p.kind = FaultKind::kTimeout;
+    p.count = 8;
+    p.arg = 4;
+    return p.Encode();
+  }();
 
-  // The same fault with a packet after it is NOT provably dead — the armed
-  // plan fires on the later packet's syscalls. It is only a trim candidate.
-  Program mid = FaultProgram(spec, FaultKind::kShortRead, 8, /*trailing=*/false);
-  const spec::Analysis a2 = spec::Analyze(mid, spec);
-  EXPECT_EQ(a2.provably_dead, 0u);
-  EXPECT_FALSE(a2.ops[2].provably_dead);
-  EXPECT_TRUE(a2.ops[2].trim_candidate);
-}
-
-TEST(AnalyzeTest, UndecodablePlanIsProvablyDead) {
-  Spec spec = Spec::GenericNetwork();
-  const uint8_t fault = static_cast<uint8_t>(*spec.FindNodeType("fault"));
-  Program p = FaultProgram(spec, FaultKind::kShortRead, 8, /*trailing=*/false);
-  // Corrupt the plan kind past kFaultKindCount: Decode fails, the engine
-  // skips the op entirely, so it is dead even with live packets after it.
-  ASSERT_EQ(p.ops[2].node_type, fault);
-  p.ops[2].data[0] = 200;
-  const spec::Analysis a = spec::Analyze(p, spec);
-  EXPECT_TRUE(a.ops[2].provably_dead);
-}
-
-TEST(AnalyzeTest, StepsTargetNeverDead) {
-  Spec spec = Spec::MultiConnection();
-  Builder b(spec);
-  ValueRef con = b.Connection();
-  b.Packet(con, "x");
-  b.Close(con);
-  Program p = *b.Build();
-  const spec::Analysis a = spec::Analyze(p, spec);
-  // Every op here steps the target, so nothing is provably dead — even the
-  // close, whose removal the trim oracle must vet dynamically.
-  EXPECT_EQ(a.provably_dead, 0u);
-  for (const spec::OpFacts& f : a.ops) {
-    EXPECT_TRUE(f.steps_target);
-  }
-}
-
-TEST(AnalyzeTest, RemovalConeCoversTransitiveUses) {
-  Spec spec = Spec::MultiConnection();
-  Builder b(spec);
-  ValueRef c1 = b.Connection();  // op 0
-  ValueRef c2 = b.Connection();  // op 1
-  b.Packet(c1, "a");             // op 2
-  b.Packet(c2, "b");             // op 3
-  b.Close(c1);                   // op 4
-  Program p = *b.Build();
-
-  const spec::Analysis a = spec::Analyze(p, spec);
-  EXPECT_EQ(spec::RemovalCone(a, p, spec, 0), (std::vector<size_t>{0, 2, 4}));
-  EXPECT_EQ(spec::RemovalCone(a, p, spec, 1), (std::vector<size_t>{1, 3}));
-  EXPECT_EQ(spec::RemovalCone(a, p, spec, 3), (std::vector<size_t>{3}));
-
-  // Removing a full cone keeps the program Validate-clean with ids renumbered.
-  auto removed = spec::RemoveOps(p, spec, spec::RemovalCone(a, p, spec, 0));
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_EQ(removed->ops.size(), 2u);
-  EXPECT_TRUE(removed->Validate(spec));
-  EXPECT_EQ(removed->ops[1].args[0], 0u);  // c2 renumbered 1 -> 0
-
-  // Removing a def but keeping its use is rejected, not silently repaired.
-  EXPECT_FALSE(spec::RemoveOps(p, spec, {0}).has_value());
-}
-
-TEST(AnalyzeTest, CanonicalizeElidesDeadAndStripsMarkers) {
-  Spec spec = Spec::GenericNetwork();
-  Program p = FaultProgram(spec, FaultKind::kConnReset, 0, /*trailing=*/true);
-  p.InsertSnapshotAfterPacket(spec, 0);
-  ASSERT_EQ(p.ops.size(), 4u);  // conn, pkt, marker, fault
-
-  const Program canon = spec::Canonicalize(p, spec);
-  EXPECT_EQ(canon.ops.size(), 2u);  // conn, pkt
-  EXPECT_FALSE(canon.SnapshotMarkerPos().has_value());
-  EXPECT_TRUE(canon.Validate(spec));
-
-  // Idempotence: canonicalizing the canonical form is the identity.
-  const Program canon2 = spec::Canonicalize(canon, spec);
-  EXPECT_EQ(canon2.OpsHash(canon2.ops.size()), canon.OpsHash(canon.ops.size()));
-}
-
-TEST(AnalyzeTest, CanonicalizeReachesFixpoint) {
-  // Eliding a trailing fault can expose another trailing fault; the elision
-  // loop must run to fixpoint, not stop after one round.
-  Spec spec = Spec::GenericNetwork();
-  Builder b(spec);
-  ValueRef con = b.Connection();
-  b.Packet(con, "x");
-  b.Node("fault", {con}, Plan(FaultKind::kShortRead, 1, 4));
-  b.Node("fault", {con}, Plan(FaultKind::kEagain));
-  Program p = *b.Build();
-
-  const Program canon = spec::Canonicalize(p, spec);
-  EXPECT_EQ(canon.ops.size(), 2u);
-}
-
-TEST(AnalyzeTest, NormalHashIgnoresDeadOpsAndIgnoredArgs) {
-  Spec spec = Spec::GenericNetwork();
   Builder base(spec);
   ValueRef con = base.Connection();
-  base.Packet(con, "hello");
-  const Program plain = *base.Build();
+  base.Packet(con, "USER a\r\n");
+  base.Packet(con, "QUIT\r\n");
+  EXPECT_TRUE(corpus.Add(*base.Build(), 1000, 2, 0.0));
 
-  // Dead-op padding does not change semantic identity.
-  Program padded = FaultProgram(spec, FaultKind::kConnReset, 0, /*trailing=*/true);
-  padded.ops.pop_back();  // drop the fault: now identical to `plain`
-  EXPECT_EQ(spec::NormalHash(plain, spec), spec::NormalHash(padded, spec));
-  Program dead = FaultProgram(spec, FaultKind::kConnReset, 0, /*trailing=*/true);
-  EXPECT_EQ(spec::NormalHash(plain, spec), spec::NormalHash(dead, spec));
+  // A plan armed after the last packet is never consulted: duplicate.
+  Builder trailing(spec);
+  con = trailing.Connection();
+  trailing.Packet(con, "USER a\r\n");
+  trailing.Packet(con, "QUIT\r\n");
+  ASSERT_TRUE(trailing.Node("fault", {con}, plan).has_value());
+  ASSERT_TRUE(trailing.Node("fault", {con}, plan).has_value());
+  EXPECT_FALSE(corpus.Add(*trailing.Build(), 1000, 2, 0.0));
+  EXPECT_EQ(corpus.corpus_dupes(), 1u);
 
-  // netemu never reads the arg for eintr-class kinds: twiddling it does not
-  // change identity...
-  Program a = FaultProgram(spec, FaultKind::kIntr, 0, /*trailing=*/false);
-  Program b = FaultProgram(spec, FaultKind::kIntr, 0x1234, /*trailing=*/false);
-  EXPECT_EQ(spec::NormalHash(a, spec), spec::NormalHash(b, spec));
-  // ...but for kinds whose arg is read (short-read byte cap), it does.
-  Program c = FaultProgram(spec, FaultKind::kShortRead, 1, /*trailing=*/false);
-  Program d = FaultProgram(spec, FaultKind::kShortRead, 2, /*trailing=*/false);
-  EXPECT_NE(spec::NormalHash(c, spec), spec::NormalHash(d, spec));
-  // Distinct kinds stay distinct even with args zeroed.
-  Program e = FaultProgram(spec, FaultKind::kEagain, 0, /*trailing=*/false);
-  EXPECT_NE(spec::NormalHash(a, spec), spec::NormalHash(e, spec));
+  // The same plan before the last packet fires on it: a new entry.
+  Builder mid(spec);
+  con = mid.Connection();
+  mid.Packet(con, "USER a\r\n");
+  ASSERT_TRUE(mid.Node("fault", {con}, plan).has_value());
+  mid.Packet(con, "QUIT\r\n");
+  EXPECT_TRUE(corpus.Add(*mid.Build(), 1000, 2, 0.0));
+  EXPECT_EQ(corpus.size(), 2u);
+  EXPECT_EQ(corpus.corpus_dupes(), 1u);
 }
 
 TEST(AnalyzeTest, LiveValuesRespectCloseAndPosition) {
@@ -231,55 +100,163 @@ TEST(AnalyzeTest, LiveValuesRespectCloseAndPosition) {
 
   const int conn_edge = 0;
   // Before op 2 only c1 exists; before op 4 (post-close) only c2 is live.
-  EXPECT_EQ(spec::LiveValuesAt(p, spec, 2, conn_edge), (std::vector<uint16_t>{0}));
-  EXPECT_EQ(spec::LiveValuesAt(p, spec, 3, conn_edge), (std::vector<uint16_t>{0, 1}));
-  EXPECT_EQ(spec::LiveValuesAt(p, spec, 4, conn_edge), (std::vector<uint16_t>{1}));
-  // End-of-program query and an unknown edge type.
-  EXPECT_EQ(spec::LiveValuesAt(p, spec, p.ops.size(), conn_edge),
-            (std::vector<uint16_t>{1}));
-  EXPECT_TRUE(spec::LiveValuesAt(p, spec, 4, 99).empty());
+  EXPECT_EQ(p.LiveValues(spec, 2, conn_edge), (std::vector<uint16_t>{0}));
+  EXPECT_EQ(p.LiveValues(spec, 3, conn_edge), (std::vector<uint16_t>{0, 1}));
+  EXPECT_EQ(p.LiveValues(spec, 4, conn_edge), (std::vector<uint16_t>{1}));
+  // End-of-program query (and past it) and an unknown edge type.
+  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), conn_edge), (std::vector<uint16_t>{1}));
+  EXPECT_EQ(p.LiveValues(spec, p.ops.size() + 5, conn_edge), (std::vector<uint16_t>{1}));
+  EXPECT_TRUE(p.LiveValues(spec, 4, 99).empty());
+  // A marker produces and consumes nothing.
+  p.InsertSnapshotAfterPacket(spec, 0);
+  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), conn_edge), (std::vector<uint16_t>{1}));
 }
 
-TEST(AnalyzeTest, CorpusRejectsSemanticDuplicates) {
-  Spec spec = Spec::GenericNetwork();
-  Corpus corpus(&spec);
+TEST(AnalyzeTest, LiveValuesInTheMiddleOfAMutation) {
+  // Two edge types, so a consume can name a value of the wrong type.
+  Spec spec;
+  const int conn = spec.AddEdgeType("conn");
+  const int session = spec.AddEdgeType("session");
+  NodeTypeDef connect;
+  connect.name = "connect";
+  connect.semantic = NodeSemantic::kConnection;
+  connect.outputs = {conn};
+  const uint8_t kConnect = static_cast<uint8_t>(spec.AddNodeType(connect));
+  NodeTypeDef login;
+  login.name = "login";
+  login.borrows = {conn};
+  login.outputs = {session};
+  const uint8_t kLogin = static_cast<uint8_t>(spec.AddNodeType(login));
+  NodeTypeDef logout;
+  logout.name = "logout";
+  logout.consumes = {session};
+  const uint8_t kLogout = static_cast<uint8_t>(spec.AddNodeType(logout));
 
-  Program a = FaultProgram(spec, FaultKind::kIntr, 0, /*trailing=*/false);
-  Program b = FaultProgram(spec, FaultKind::kIntr, 0x1234, /*trailing=*/false);
-  ASSERT_NE(a.OpsHash(a.ops.size()), b.OpsHash(b.ops.size()));  // syntactically new
-  EXPECT_TRUE(corpus.Add(std::move(a), 1000, 1, 0.0));
-  EXPECT_FALSE(corpus.Add(std::move(b), 1000, 1, 0.0));  // semantically dup
-  EXPECT_EQ(corpus.size(), 1u);
-  EXPECT_EQ(corpus.semantic_dupes(), 1u);
+  auto op = [](uint8_t node_type, std::vector<uint16_t> args) {
+    Op o;
+    o.node_type = node_type;
+    o.args = std::move(args);
+    return o;
+  };
+  Program p;
+  p.ops.push_back(op(kConnect, {}));       // value 0 (conn)
+  p.ops.push_back(op(kLogin, {0}));        // value 1 (session)
+  p.ops.push_back(op(kLogout, {1, 1}));    // wrong arity: consumes nothing
+  p.ops.push_back(op(kConnect, {}));       // value 2 (conn)
+  p.ops.push_back(op(kLogout, {7}));       // id not produced yet: nothing dies
+  p.ops.push_back(op(kLogout, {0}));       // consumes a conn as a session
+  ASSERT_FALSE(p.Validate(spec));
 
-  // A genuinely different program still gets in.
-  Program c = FaultProgram(spec, FaultKind::kShortRead, 3, /*trailing=*/false);
-  EXPECT_TRUE(corpus.Add(std::move(c), 1000, 1, 0.0));
-  EXPECT_EQ(corpus.size(), 2u);
+  EXPECT_EQ(p.LiveValues(spec, 3, session), (std::vector<uint16_t>{1}));
+  EXPECT_EQ(p.LiveValues(spec, 5, conn), (std::vector<uint16_t>{0, 2}));
+  // The ill-typed consume still kills value 0; value 1 outlived the
+  // wrong-arity logout.
+  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), conn), (std::vector<uint16_t>{2}));
+  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), session), (std::vector<uint16_t>{1}));
 }
 
-TEST(AnalyzeTest, FrontierDropsSemanticDuplicates) {
-  Spec spec = Spec::GenericNetwork();
-  // Single shard: every ExchangeSync completes the barrier and flips, so the
-  // publish/dedup path runs without spinning up worker threads.
-  CorpusFrontier frontier(1, &spec);
+// A stream server built so that only a whole connection can be trimmed: a
+// "k" packet covers one site when it is the only open connection and
+// another when others are open, and a connection closed before sending
+// anything covers a third. Other payloads cover nothing.
+class ConeTarget final : public Target {
+ public:
+  static constexpr uint16_t kPort = 7;
 
-  CorpusFrontier::Entry e0;
-  e0.program = FaultProgram(spec, FaultKind::kIntr, 0, /*trailing=*/false);
-  CorpusFrontier::Entry e1;
-  e1.program = FaultProgram(spec, FaultKind::kIntr, 0x1234, /*trailing=*/false);
+  TargetInfo info() const override {
+    TargetInfo ti;
+    ti.name = "cone";
+    ti.port = kPort;
+    ti.transport = SockKind::kStream;
+    ti.state_bytes = sizeof(State);
+    return ti;
+  }
+  void Init(GuestContext& ctx) override {
+    State* st = ctx.State<State>();
+    *st = State{};
+    st->listener = ctx.net().Socket(SockKind::kStream);
+    ctx.net().Bind(st->listener, kPort);
+    ctx.net().Listen(st->listener, 4);
+  }
+  void Step(GuestContext& ctx) override {
+    State* st = ctx.State<State>();
+    int fd;
+    while (st->conns < 4 && (fd = ctx.net().Accept(st->listener)) >= 0) {
+      st->conn[st->conns++] = Conn{fd, 1, 0};
+    }
+    for (uint32_t c = 0; c < st->conns; c++) {
+      Conn& conn = st->conn[c];
+      uint8_t buf[8];
+      int n;
+      while (conn.open != 0 && (n = ctx.net().Recv(conn.fd, buf, sizeof(buf))) != kErrAgain) {
+        if (n <= 0) {
+          if (conn.got_data == 0) {
+            ctx.Cov(50);
+          }
+          conn.open = 0;
+        } else {
+          conn.got_data = 1;
+          if (buf[0] == 'k') {
+            ctx.Cov(OpenCount(*st) == 1 ? 1 : 2);
+          }
+        }
+      }
+    }
+  }
 
-  std::vector<CorpusFrontier::Entry> batch;
-  batch.push_back(std::move(e0));
-  frontier.ExchangeSync(0, std::move(batch));
-  EXPECT_EQ(frontier.published(), 1u);
+ private:
+  struct Conn {
+    int fd;
+    uint8_t open;
+    uint8_t got_data;
+  };
+  struct State {
+    int listener;
+    uint32_t conns;
+    Conn conn[4];
+  };
+  static uint32_t OpenCount(const State& st) {
+    uint32_t open = 0;
+    for (uint32_t c = 0; c < st.conns; c++) {
+      open += st.conn[c].open;
+    }
+    return open;
+  }
+};
 
-  // The ignored-arg twiddle is syntactically fresh but semantically
-  // identical: it never publishes.
-  batch.clear();
-  batch.push_back(std::move(e1));
-  frontier.ExchangeSync(0, std::move(batch));
-  EXPECT_EQ(frontier.published(), 1u);
+TEST(AnalyzeTest, RemovalConeCoversTransitiveUses) {
+  Spec spec = Spec::MultiConnection();
+  Builder b(spec);
+  ValueRef c2 = b.Connection();  // op 0 -> value 0
+  ValueRef c1 = b.Connection();  // op 1 -> value 1
+  b.Packet(c2, "x");             // op 2
+  b.Close(c2);                   // op 3
+  b.Packet(c1, "k");             // op 4
+  const Program p = *b.Build();
+
+  EngineConfig cfg;
+  cfg.vm.mem_pages = 128;
+  NyxEngine engine(cfg, [] { return std::unique_ptr<Target>(new ConeTarget()); }, spec);
+  engine.Boot();
+
+  // Dropping c2's close leaves it open at the "k", dropping its packet
+  // makes the close cover site 50, and dropping c1 (cone {1, 4}) loses the
+  // "k": only c2's whole cone {0, 2, 3} goes, and in one probe. The sweep
+  // is one reference probe, one per op (4, 3, 2, 1, 0) in the first pass
+  // and one per op of the two that stay in the second.
+  TrimStats stats;
+  const Program trimmed = TrimProgram(engine, spec, p, &stats);
+  EXPECT_EQ(stats.ops_before, 5u);
+  EXPECT_EQ(stats.ops_after, 2u);
+  EXPECT_EQ(stats.probe_execs, 1u + 5u + 2u);
+
+  // c1 stays because its use stays, renumbered 1 -> 0.
+  ASSERT_EQ(trimmed.ops.size(), 2u);
+  EXPECT_TRUE(trimmed.Validate(spec));
+  EXPECT_EQ(trimmed.ops[0].node_type, p.ops[1].node_type);
+  EXPECT_EQ(trimmed.ops[1].node_type, p.ops[4].node_type);
+  EXPECT_EQ(trimmed.ops[1].args, (std::vector<uint16_t>{0}));
+  EXPECT_EQ(trimmed.ops[1].data, p.ops[4].data);
 }
 
 }  // namespace

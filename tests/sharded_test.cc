@@ -122,27 +122,72 @@ TEST(ShardedCampaignTest, RepeatedRunsAreIdentical) {
 }
 
 TEST(ShardedCampaignTest, OneShardMatchesPlainCampaign) {
-  const CampaignSpec cs = ShardableSpec();
-  const CampaignOutcome plain = RunCampaign(cs);
-  const ShardedOutcome sharded = RunShardedCampaign(cs, 1);
-  ASSERT_TRUE(sharded.supported);
-  ASSERT_EQ(sharded.per_shard.size(), 1u);
-  // A 1-shard frontier never imports anything, so the worker's trajectory
-  // is exactly the unsharded campaign's.
-  ExpectSameResult(plain.result, sharded.per_shard[0]);
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "fault injection on" : "fault injection off");
+    CampaignSpec cs = ShardableSpec();
+    cs.fault_injection = faults;
+    const CampaignOutcome plain = RunCampaign(cs);
+    const ShardedOutcome sharded = RunShardedCampaign(cs, 1);
+    ASSERT_TRUE(sharded.supported);
+    ASSERT_EQ(sharded.per_shard.size(), 1u);
+    // A 1-shard frontier never imports anything, so the worker's trajectory
+    // is exactly the unsharded campaign's.
+    ExpectSameResult(plain.result, sharded.per_shard[0]);
+    EXPECT_EQ(plain.result.faults_injected, sharded.per_shard[0].faults_injected);
+    EXPECT_EQ(plain.result.faulted_bytes, sharded.per_shard[0].faulted_bytes);
+    if (faults) {
+      EXPECT_GT(sharded.per_shard[0].faults_injected, 0u);
+    }
+  }
 }
 
 TEST(ShardedCampaignTest, MergedAggregatesShards) {
-  const ShardedOutcome out = RunShardedCampaign(ShardableSpec(), 2);
+  CampaignSpec cs = ShardableSpec();
+  cs.fault_injection = true;
+  const ShardedOutcome out = RunShardedCampaign(cs, 2);
   ASSERT_TRUE(out.supported);
-  uint64_t execs = 0;
+  CampaignResult sum;
   size_t best_cov = 0;
   for (const CampaignResult& r : out.per_shard) {
     EXPECT_GT(r.execs, 0u);
-    execs += r.execs;
+    sum.execs += r.execs;
+    sum.corpus_size += r.corpus_size;
+    sum.incremental_creates += r.incremental_creates;
+    sum.incremental_restores += r.incremental_restores;
+    sum.root_restores += r.root_restores;
+    sum.contract_soft_failures += r.contract_soft_failures;
+    sum.pages_audited += r.pages_audited;
+    sum.audit_divergences += r.audit_divergences;
+    sum.faults_injected += r.faults_injected;
+    sum.faulted_bytes += r.faulted_bytes;
+    sum.corpus_dupes += r.corpus_dupes;
+    sum.dirty_traps += r.dirty_traps;
+    sum.protect_calls += r.protect_calls;
+    sum.pinned_pages += r.pinned_pages;
+    sum.pages_restored += r.pages_restored;
+    sum.pages_captured += r.pages_captured;
+    sum.root_pages += r.root_pages;
     best_cov = std::max(best_cov, r.branch_coverage);
   }
-  EXPECT_EQ(out.merged.execs, execs);
+  const CampaignResult& m = out.merged;
+  EXPECT_EQ(m.execs, sum.execs);
+  EXPECT_EQ(m.corpus_size, sum.corpus_size);
+  EXPECT_EQ(m.incremental_creates, sum.incremental_creates);
+  EXPECT_EQ(m.incremental_restores, sum.incremental_restores);
+  EXPECT_EQ(m.root_restores, sum.root_restores);
+  EXPECT_EQ(m.contract_soft_failures, sum.contract_soft_failures);
+  EXPECT_EQ(m.pages_audited, sum.pages_audited);
+  EXPECT_EQ(m.audit_divergences, sum.audit_divergences);
+  EXPECT_EQ(m.faults_injected, sum.faults_injected);
+  EXPECT_GT(m.faults_injected, 0u);
+  EXPECT_EQ(m.faulted_bytes, sum.faulted_bytes);
+  EXPECT_EQ(m.corpus_dupes, sum.corpus_dupes);
+  EXPECT_EQ(m.dirty_traps, sum.dirty_traps);
+  EXPECT_EQ(m.protect_calls, sum.protect_calls);
+  EXPECT_EQ(m.pinned_pages, sum.pinned_pages);
+  EXPECT_EQ(m.pages_restored, sum.pages_restored);
+  EXPECT_EQ(m.pages_captured, sum.pages_captured);
+  EXPECT_EQ(m.root_pages, sum.root_pages);
   // The frontier-merged map covers at least what the best shard saw.
   EXPECT_GE(out.merged.branch_coverage, best_cov);
   EXPECT_GT(out.merged.branch_coverage, 0u);

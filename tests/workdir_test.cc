@@ -142,6 +142,43 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   EXPECT_NE(json.find("\"root_pages\": 17", gauges), std::string::npos);
 }
 
+TEST_F(WorkdirTest, SnapshotReuseIsIncrementalRestoresPerCreate) {
+  auto read = [](const std::string& path) {
+    std::string text;
+    FILE* f = fopen(path.c_str(), "r");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) {
+      return text;
+    }
+    char buf[4096];
+    size_t n;
+    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) {
+      text.append(buf, n);
+    }
+    fclose(f);
+    return text;
+  };
+  auto wd = Workdir::Open(base_ + "/c");
+  ASSERT_TRUE(wd.has_value());
+  CampaignResult result;
+
+  // Nothing created: the ratio is 0, not a division by zero.
+  result.incremental_restores = 5;
+  ASSERT_TRUE(wd->SaveCampaign(result, Corpus()));
+  EXPECT_NE(read(base_ + "/c/stats.txt").find("inc_restores     5\nsnapshot_reuse   0.000\n"),
+            std::string::npos);
+
+  result.incremental_creates = 4;
+  result.incremental_restores = 10;
+  ASSERT_TRUE(wd->SaveCampaign(result, Corpus()));
+  EXPECT_NE(read(base_ + "/c/stats.txt").find("inc_restores     10\nsnapshot_reuse   2.500\n"),
+            std::string::npos);
+  const std::string json = read(base_ + "/c/metrics.json");
+  const size_t gauges = json.find("\"gauges\"");
+  ASSERT_NE(gauges, std::string::npos);
+  EXPECT_NE(json.find("\"snapshot_reuse\": 2.500", gauges), std::string::npos);
+}
+
 TEST_F(WorkdirTest, CrashReproducerReplaysInEngine) {
   // End-to-end: save a crashing input, load it back, replay it — the crash
   // must reproduce exactly (the repro workflow of the nyx-net CLI).
