@@ -155,6 +155,9 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
     // Pin the donor list for this batch (Add() may reallocate).
     const std::vector<const Program*> donors = corpus_.Donors();
     const Program base = entry.program;
+    // One mutation buffer per schedule: assigning `base` to it reuses each
+    // op's args and data capacity instead of allocating a fresh program.
+    Program mutated;
 
     for (uint64_t iter = 0; iter < config_.iterations_per_schedule && !out_of_budget(); iter++) {
       // Mostly mutate the suffix so the incremental snapshot stays reusable;
@@ -162,7 +165,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
       // snapshot — a prefix change would invalidate the snapshot anyway).
       const bool full_range =
           decision.use_incremental && rng_.Chance(1, 4) && first_mutable_op > 0;
-      Program mutated = base;
+      mutated = base;
       {
         telemetry::ScopedPhase phase(telemetry::Phase::kMutate);
         mutator_.Mutate(mutated, donors, full_range ? 0 : first_mutable_op);

@@ -195,14 +195,21 @@ bool Program::Validate(const Spec& spec, std::string* error) const {
 
 void Program::Repair(const Spec& spec) {
   ValueTracker tracker;
-  std::vector<Op> repaired;
-  repaired.reserve(ops.size());
+  // Kept ops move down to `kept` in place, so the ops vector and the kept
+  // ops' buffers are reused rather than rebuilt.
+  size_t kept = 0;
+  auto keep = [&](Op& op) {
+    if (&op != &ops[kept]) {
+      ops[kept] = std::move(op);
+    }
+    kept++;
+  };
   bool seen_snapshot = false;
   for (Op& op : ops) {
     if (op.is_snapshot()) {
       if (!seen_snapshot) {
         seen_snapshot = true;
-        repaired.push_back(std::move(op));
+        keep(op);
       }
       continue;
     }
@@ -269,9 +276,9 @@ void Program::Repair(const Spec& spec) {
       tracker.Kill(op.args[arg + c]);
     }
     tracker.Produce(node);
-    repaired.push_back(std::move(op));
+    keep(op);
   }
-  ops = std::move(repaired);
+  ops.resize(kept);
 }
 
 std::vector<uint16_t> Program::LiveValues(const Spec& spec, size_t at, int edge_type) const {

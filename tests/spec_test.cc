@@ -200,6 +200,31 @@ TEST(ProgramTest, RepairDropsOpsWithNoCandidate) {
   p.ops.push_back(Op{pkt, {0}, ToBytes("x")});  // no connection exists at all
   p.Repair(spec);
   EXPECT_TRUE(p.ops.empty());
+
+  // A dropped op between kept ones: the survivors close up in order and
+  // keep their args and data.
+  const uint8_t con = static_cast<uint8_t>(*spec.FindNodeType("connection"));
+  const uint8_t close = static_cast<uint8_t>(*spec.FindNodeType("close"));
+  Program q;
+  q.ops.push_back(Op{con, {}, {}});
+  q.ops.push_back(Op{pkt, {0}, ToBytes("a")});
+  q.ops.push_back(Op{close, {0}, {}});
+  q.ops.push_back(Op{pkt, {0}, ToBytes("dropped")});  // its connection is closed
+  q.ops.push_back(Op{con, {}, {}});
+  q.ops.push_back(Op{pkt, {1}, ToBytes("b")});
+  q.ops.push_back(Op{pkt, {7}, ToBytes("c")});  // dangling: rebound to value 1
+  q.Repair(spec);
+  ASSERT_TRUE(q.Validate(spec));
+  const std::vector<Op> want = {
+      Op{con, {}, {}},     Op{pkt, {0}, ToBytes("a")}, Op{close, {0}, {}},
+      Op{con, {}, {}},     Op{pkt, {1}, ToBytes("b")}, Op{pkt, {1}, ToBytes("c")},
+  };
+  ASSERT_EQ(q.ops.size(), want.size());
+  for (size_t i = 0; i < want.size(); i++) {
+    EXPECT_EQ(q.ops[i].node_type, want[i].node_type) << "op " << i;
+    EXPECT_EQ(q.ops[i].args, want[i].args) << "op " << i;
+    EXPECT_EQ(q.ops[i].data, want[i].data) << "op " << i;
+  }
 }
 
 TEST(ProgramTest, RepairKeepsOnlyFirstSnapshotMarker) {
