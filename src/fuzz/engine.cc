@@ -1,5 +1,6 @@
 #include "src/fuzz/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -153,7 +154,7 @@ ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
 
   // Audit mode (NYX_AUDIT=1): run the program, replay it down the identical
   // path, and compare end states. See src/fuzz/audit.h for the oracle.
-  const std::optional<SnapshotLink> pre_link = link_;
+  const std::vector<Op> pre_link = link_;
   ExecResult result_a = RunInternal(input, cov);
   {
     // Everything past the primary execution is audit overhead:
@@ -198,16 +199,14 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
   ExecResult result;
   const uint64_t t0 = clock_.now_ns();
 
-  const auto marker = input.SnapshotMarkerPos();
-
   size_t start_op = 0;
   {
     telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotRestore);
-    // Resume from the incremental when the new input shares the prefix it
-    // was captured after, marker included.
-    const bool resume = marker.has_value() && link_.has_value() && vm_->has_incremental() &&
-                        link_->ops_hashed <= input.ops.size() &&
-                        input.OpsHash(link_->ops_hashed) == link_->hash;
+    // Resume from the incremental when the new input starts with exactly the
+    // ops it was captured after, marker included.
+    const bool resume = !link_.empty() && vm_->has_incremental() &&
+                        link_.size() <= input.ops.size() &&
+                        std::equal(link_.begin(), link_.end(), input.ops.begin());
     if (resume) {
       vm_->RestoreIncremental();
       RestoreInterpState(vm_->current_aux());
@@ -217,7 +216,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
       vm_->RestoreRoot();
       RestoreInterpState(vm_->current_aux());
       start_op = 0;
-      link_.reset();
+      link_.clear();
     }
   }
 
@@ -237,10 +236,10 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
       }
       telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotRestore);
       vm_->CreateIncremental(SerializeInterpState(static_cast<uint32_t>(i + 1)));
-      // The link hash covers the marker op itself, so a later match implies
+      // The link ends with the marker op itself, so a later match implies
       // the candidate input also carries the marker at this position and
       // resuming at i+1 skips exactly the executed prefix.
-      link_ = SnapshotLink{input.OpsHash(i + 1), static_cast<uint32_t>(i + 1)};
+      link_.assign(input.ops.begin(), input.ops.begin() + static_cast<long>(i + 1));
       result.created_incremental = true;
       continue;
     }
@@ -336,7 +335,7 @@ StateFingerprint NyxEngine::CaptureFingerprint(const CoverageMap& cov,
 
 void NyxEngine::DropIncremental() {
   vm_->DropIncremental();
-  link_.reset();
+  link_.clear();
 }
 
 std::vector<Bytes> NyxEngine::LastResponses() const {

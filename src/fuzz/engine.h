@@ -10,11 +10,11 @@
 //     close ops signal peer EOF;
 //   * the snapshot marker op triggers creation of the incremental snapshot
 //     (with the interpreter + netemu state riding along in the snapshot's
-//     aux blob), and the engine records the ops-hash of the input prefix up
-//     to and including the marker;
-//   * if the next input shares that prefix, the engine restores the
-//     incremental snapshot and resumes at the op after the marker — only
-//     the suffix runs again.
+//     aux blob), and the engine keeps a copy of the input's ops up to and
+//     including the marker;
+//   * if the next input starts with exactly those ops, the engine restores
+//     the incremental snapshot and resumes at the op after the marker —
+//     only the suffix runs again.
 //
 // After the run the VM is left dirty; the next Run() restores as needed.
 
@@ -23,7 +23,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <vector>
 
 #include "src/common/env.h"
 #include "src/common/rng.h"
@@ -116,14 +116,11 @@ class NyxEngine {
   uint32_t resume_op_ = 0;
   size_t connection_ops_seen_ = 0;
 
-  // The incremental snapshot's resume point: it was captured after
-  // executing ops [0, ops_hashed), the marker op last, whose hash was
-  // `hash`. Unset when this engine holds no incremental to resume from.
-  struct SnapshotLink {
-    uint64_t hash;
-    uint32_t ops_hashed;
-  };
-  std::optional<SnapshotLink> link_;
+  // The incremental snapshot's resume point: a copy of the ops it was
+  // captured after, the marker op last. An input resumes from it only when
+  // its own ops start with exactly these. Empty when this engine holds no
+  // incremental to resume from.
+  std::vector<Op> link_;
   uint64_t execs_ = 0;
 };
 

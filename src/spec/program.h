@@ -31,6 +31,7 @@ struct Op {
   Bytes data;
 
   bool is_snapshot() const { return node_type == kSnapshotOpcode; }
+  bool operator==(const Op&) const = default;
 };
 
 struct Program {
@@ -42,9 +43,8 @@ struct Program {
   Bytes Serialize() const;
   static std::optional<Program> Parse(const Bytes& wire, const Spec& spec);
 
-  // Incremental FNV-1a over ops [0, end_op) — allocation-free, for the
-  // per-exec RNG seeding and snapshot prefix matching hot paths (a full
-  // Serialize() per exec was a measured hot spot). Two programs whose op
+  // Incremental FNV-1a over ops [0, end_op), allocation-free: the key of
+  // corpus dedup and of the sharded frontier's dedup. Two programs whose op
   // sequences differ hash differently (op/arg/data lengths are folded in).
   uint64_t OpsHash(size_t end_op) const;
 

@@ -135,15 +135,53 @@ TEST_F(EngineTest, IncrementalReuseIsFasterThanFullRun) {
 }
 
 TEST_F(EngineTest, DifferentPrefixInvalidatesIncremental) {
-  Program p = FtpSession(spec_, {"USER anonymous", "PASS x", "NOOP", "NOOP", "PWD"});
+  // Two connections, so a packet can move to the second one while every
+  // other op stays the same.
+  Builder b(spec_);
+  const ValueRef first = b.Connection();
+  b.Connection();
+  for (const char* line : {"USER anonymous", "PASS x", "NOOP", "NOOP", "PWD"}) {
+    b.Packet(first, std::string(line) + "\r\n");
+  }
+  const Program plain = *b.Build();
+  const std::vector<size_t> packets = plain.PacketOpIndices(spec_);
+  Program p = plain;
   p.InsertSnapshotAfterPacket(spec_, 3);
-  engine_.Run(p, cov_);
+  ASSERT_TRUE(engine_.Run(p, cov_).created_incremental);
 
-  Program q = FtpSession(spec_, {"USER other", "PASS x", "NOOP", "NOOP", "PWD"});
-  q.InsertSnapshotAfterPacket(spec_, 3);
-  ExecResult r = engine_.Run(q, cov_);
-  EXPECT_FALSE(r.used_incremental);     // prefix hash differs
-  EXPECT_TRUE(r.created_incremental);   // new snapshot for the new prefix
+  Program other_data = plain;
+  other_data.ops[packets[0]].data = ToBytes("USER other\r\n");
+  other_data.InsertSnapshotAfterPacket(spec_, 3);
+  Program other_conn = plain;
+  other_conn.ops[packets[1]].args[0] = 1;  // the second connection's value id
+  ASSERT_TRUE(other_conn.Validate(spec_));
+  other_conn.InsertSnapshotAfterPacket(spec_, 3);
+  Program later_marker = plain;
+  later_marker.InsertSnapshotAfterPacket(spec_, 4);
+  Program before_marker = p;
+  before_marker.ops.resize(*p.SnapshotMarkerPos());
+
+  const std::pair<const char*, const Program*> misses[] = {
+      {"other data", &other_data},
+      {"other connection", &other_conn},
+      {"marker one packet later", &later_marker},
+      {"ends before the marker", &before_marker},
+  };
+  for (const auto& [name, input] : misses) {
+    ExecResult r = engine_.Run(*input, cov_);
+    EXPECT_FALSE(r.used_incremental) << name;
+    // Re-capture p's prefix for the next candidate.
+    ASSERT_TRUE(engine_.Run(p, cov_).created_incremental) << name;
+  }
+
+  // The same prefix with a longer suffix resumes.
+  Program longer = p;
+  Op extra = longer.ops.back();
+  extra.data = ToBytes("SYST\r\n");
+  longer.ops.push_back(extra);
+  ExecResult r = engine_.Run(longer, cov_);
+  EXPECT_TRUE(r.used_incremental);
+  EXPECT_FALSE(r.created_incremental);
 }
 
 TEST_F(EngineTest, DropIncrementalForcesRootPath) {
