@@ -158,13 +158,26 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
     // One mutation buffer per schedule: assigning `base` to it reuses each
     // op's args and data capacity instead of allocating a fresh program.
     Program mutated;
+    // Mostly mutate the suffix so the incremental snapshot stays reusable;
+    // about one exec in four mutates the whole input, which carries no
+    // marker and runs from the root (a prefix change would invalidate the
+    // snapshot anyway). A root restore drops the incremental, so the
+    // full-range execs all run first: the first suffix exec after them
+    // captures the prefix and every later one resumes from it. The flags
+    // are drawn up front, one 1-in-4 draw per iteration, so a schedule keeps
+    // its count of each kind.
+    uint64_t full_range_execs = 0;
+    if (decision.use_incremental) {
+      for (uint64_t i = 0; i < config_.iterations_per_schedule; i++) {
+        full_range_execs += rng_.Chance(1, 4) ? 1 : 0;
+      }
+    }
+    if (first_mutable_op == 0) {
+      full_range_execs = 0;  // the base lacks the chosen packet: no prefix to keep
+    }
 
     for (uint64_t iter = 0; iter < config_.iterations_per_schedule && !out_of_budget(); iter++) {
-      // Mostly mutate the suffix so the incremental snapshot stays reusable;
-      // occasionally mutate the whole input (which then runs from the root
-      // snapshot — a prefix change would invalidate the snapshot anyway).
-      const bool full_range =
-          decision.use_incremental && rng_.Chance(1, 4) && first_mutable_op > 0;
+      const bool full_range = iter < full_range_execs;
       mutated = base;
       {
         telemetry::ScopedPhase phase(telemetry::Phase::kMutate);

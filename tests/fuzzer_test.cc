@@ -225,6 +225,29 @@ TEST(FuzzerTest, PoliciesChangeSnapshotUsage) {
   EXPECT_GT(aggr_result.execs, none_result.execs);
 }
 
+TEST(FuzzerTest, IncrementalLivesForTheWholeSchedule) {
+  // One placement decision covers a schedule of kIterationsPerSchedule
+  // execs. The full-range execs, which run from the root and drop the
+  // incremental, go first, so one capture serves every suffix exec after
+  // them. Interleaving them gives about 3 restores per capture.
+  Spec spec = Spec::GenericNetwork();
+  CampaignLimits limits;
+  limits.vtime_seconds = 2.0;
+  limits.wall_seconds = 30.0;
+  for (PolicyMode mode : {PolicyMode::kBalanced, PolicyMode::kAggressive}) {
+    FuzzerConfig fcfg;
+    fcfg.policy = mode;
+    fcfg.seed = 5;
+    NyxFuzzer fuzzer(SmallEngineConfig(), MakeLightFtp, spec, fcfg);
+    fuzzer.AddSeed(FtpSeed(spec));
+    CampaignResult result = fuzzer.Run(limits);
+    ASSERT_GT(result.incremental_creates, 0u) << PolicyName(mode);
+    EXPECT_GE(result.incremental_restores, 20 * result.incremental_creates)
+        << PolicyName(mode) << ": " << result.incremental_restores << " restores from "
+        << result.incremental_creates << " captures";
+  }
+}
+
 TEST(FuzzerTest, DeterministicWithSameSeed) {
   Spec spec = Spec::GenericNetwork();
   CampaignLimits limits;
