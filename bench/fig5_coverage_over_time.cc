@@ -14,7 +14,8 @@
 // A second pass runs the fault-injection ablation ("No Peer, no Cry"):
 // Nyx-Net-balanced with and without FuzzerConfig::fault_injection on the
 // same targets, summarized to BENCH_fault_ablation.json (override:
-// NYX_BENCH_OUT) — the with/without coverage delta is the headline number.
+// NYX_BENCH_OUT) — the with/without coverage delta is the headline number,
+// with the two-sided Mann-Whitney U p-value of the per-run branch counts.
 //
 // Every campaign also has a 3 s wall cap. Configurations with a campaign the
 // cap cut short are named on stderr, and the JSON counts the ablation's
@@ -136,12 +137,12 @@ int main() {
   const std::vector<std::vector<CampaignResult>> fgrid = RunCampaignGrid(fconfigs, runs);
   const size_t wall_capped_cells = ReportWallCapped(fgrid, flabels);
 
-  auto median_branches = [](const std::vector<CampaignResult>& results) {
+  auto branches = [](const std::vector<CampaignResult>& results) {
     std::vector<double> cov;
     for (const auto& r : results) {
       cov.push_back(static_cast<double>(r.branch_coverage));
     }
-    return Median(cov);
+    return cov;
   };
 
   const std::string out_path = env::StringOr("NYX_BENCH_OUT", "BENCH_fault_ablation.json");
@@ -161,8 +162,9 @@ int main() {
   for (size_t t = 0; t < ablation_targets.size(); t++) {
     const std::vector<CampaignResult>& off = fgrid[t * 2];
     const std::vector<CampaignResult>& on = fgrid[t * 2 + 1];
-    const double cov_off = off.empty() ? 0.0 : median_branches(off);
-    const double cov_on = on.empty() ? 0.0 : median_branches(on);
+    const double cov_off = off.empty() ? 0.0 : Median(branches(off));
+    const double cov_on = on.empty() ? 0.0 : Median(branches(on));
+    const double p_value = MannWhitneyUPValue(branches(off), branches(on));
     uint64_t faults = 0;
     uint64_t faulted_bytes = 0;
     for (const auto& r : on) {
@@ -171,13 +173,15 @@ int main() {
     }
     fprintf(out,
             "    \"%s\": {\"branches_no_faults\": %.1f, \"branches_with_faults\": %.1f, "
-            "\"delta\": %.1f, \"faults_injected\": %llu, \"faulted_bytes\": %llu}%s\n",
-            ablation_targets[t].c_str(), cov_off, cov_on, cov_on - cov_off,
+            "\"delta\": %.1f, \"p_value\": %.4f, \"faults_injected\": %llu, "
+            "\"faulted_bytes\": %llu}%s\n",
+            ablation_targets[t].c_str(), cov_off, cov_on, cov_on - cov_off, p_value,
             static_cast<unsigned long long>(faults),
             static_cast<unsigned long long>(faulted_bytes),
             t + 1 < ablation_targets.size() ? "," : "");
-    fprintf(stderr, "[fig5] %s: %.0f branches without faults, %.0f with (delta %+.0f)\n",
-            ablation_targets[t].c_str(), cov_off, cov_on, cov_on - cov_off);
+    fprintf(stderr,
+            "[fig5] %s: %.0f branches without faults, %.0f with (delta %+.0f, p = %.4f)\n",
+            ablation_targets[t].c_str(), cov_off, cov_on, cov_on - cov_off, p_value);
   }
   fprintf(out, "  }\n");
   fprintf(out, "}\n");

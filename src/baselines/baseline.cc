@@ -344,6 +344,8 @@ CampaignResult BaselineFuzzer::Run(const CampaignLimits& limits) {
 
   record_coverage();
   result.vtime_seconds = vnow();
+  result.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   result.execs_per_vsecond =
       result.vtime_seconds > 0 ? static_cast<double>(result.execs) / result.vtime_seconds : 0;
   result.branch_coverage = global_cov_.SiteCount();

@@ -34,7 +34,6 @@ bool NyxFuzzer::RunOne(const Program& input, CampaignResult& result) {
   const ExecResult exec = engine_.Run(input, trace_);
   result.execs++;
   last_exec_vtime_ = exec.vtime_ns;
-  last_packets_ = exec.packets_delivered;
   const bool ijon_new = exec.ijon_max > result.ijon_best;
   if (ijon_new) {
     result.ijon_best = exec.ijon_max;
@@ -235,6 +234,8 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
 
   record_coverage();
   result.vtime_seconds = vnow();
+  result.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   result.execs_per_vsecond =
       result.vtime_seconds > 0 ? static_cast<double>(result.execs) / result.vtime_seconds : 0;
   result.branch_coverage = global_cov_.SiteCount();

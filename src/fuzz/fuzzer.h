@@ -6,7 +6,9 @@
 // fuzzer then runs a batch of mutations of the suffix against that snapshot
 // ("reusing the snapshot as little as 50 times yields significant
 // performance increases") before scheduling the next input and discarding
-// the snapshot.
+// the snapshot. About a quarter of an incremental batch mutates the whole
+// input instead, which runs from the root; those execs run first, so the
+// snapshot is captured once and serves every suffix exec after them.
 
 #ifndef SRC_FUZZ_FUZZER_H_
 #define SRC_FUZZ_FUZZER_H_
@@ -43,6 +45,10 @@ struct CampaignResult {
   uint64_t execs = 0;
   double vtime_seconds = 0.0;
   double execs_per_vsecond = 0.0;
+  // Real seconds the campaign loop ran, from the start the wall cap counts
+  // from (after boot, as for vtime_seconds) to the end: host speed, where
+  // the fields above are the cost model's virtual time.
+  double wall_seconds = 0.0;
   size_t branch_coverage = 0;
   size_t edge_coverage = 0;
   size_t corpus_size = 0;
@@ -137,7 +143,6 @@ class NyxFuzzer {
   CoverageMap trace_;
   Rng rng_;
   uint64_t last_exec_vtime_ = 0;
-  size_t last_packets_ = 0;
   // Sharded mode: entries found since the last frontier sync.
   std::vector<size_t> pending_publish_;  // corpus indices
   uint64_t schedules_since_sync_ = 0;

@@ -151,6 +151,13 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   reg.RegisterCounter("execs")->Add(result.execs);
   reg.RegisterGauge("vtime_seconds")->SetDouble(result.vtime_seconds);
   reg.RegisterGauge("execs_per_vsec")->SetDouble(result.execs_per_vsecond);
+  // Host speed beside the cost model's: real seconds of the campaign loop
+  // and execs per real second (0 when no wall time was recorded).
+  reg.RegisterGauge("wall_seconds")->SetDouble(result.wall_seconds);
+  reg.RegisterGauge("execs_per_wall_sec")
+      ->SetDouble(result.wall_seconds > 0
+                      ? static_cast<double>(result.execs) / result.wall_seconds
+                      : 0.0);
   reg.RegisterGauge("branch_coverage")->Set(result.branch_coverage);
   reg.RegisterGauge("edge_coverage")->Set(result.edge_coverage);
   reg.RegisterGauge("corpus_size")->Set(result.corpus_size);
@@ -200,16 +207,17 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
 
 // Renders stats.txt from the registry in a fixed display order. The literal
 // key names and 17-column value alignment are load-bearing: workdir_test and
-// external scripts grep for them.
+// external scripts grep for them. A key longer than 16 characters keeps one
+// space before its value.
 std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
   static const char* kOrder[] = {
-      "execs",          "vtime_seconds",   "execs_per_vsec", "branch_coverage",
-      "edge_coverage",  "corpus_size",     "crashes",        "root_restores",
-      "inc_creates",    "inc_restores",    "snapshot_reuse", "dirty_traps",
-      "protect_calls",  "pinned_pages",    "pages_restored", "pages_captured",
-      "root_pages",     "contract_soft",   "contract_hard",  "pages_audited",
-      "divergences",    "faults_injected", "faulted_bytes",  "corpus_dupes",
-      "lock_acquired",  "lock_contended",
+      "execs",              "vtime_seconds",      "execs_per_vsec",     "wall_seconds",
+      "execs_per_wall_sec", "branch_coverage",    "edge_coverage",      "corpus_size",
+      "crashes",            "root_restores",      "inc_creates",        "inc_restores",
+      "snapshot_reuse",     "dirty_traps",        "protect_calls",      "pinned_pages",
+      "pages_restored",     "pages_captured",     "root_pages",         "contract_soft",
+      "contract_hard",      "pages_audited",      "divergences",        "faults_injected",
+      "faulted_bytes",      "corpus_dupes",       "lock_acquired",      "lock_contended",
   };
   const std::vector<telemetry::MetricRegistry::Entry> entries = reg.Entries();
   std::ostringstream os;
@@ -220,12 +228,12 @@ std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
       }
       char line[128];
       if (e.counter != nullptr) {
-        snprintf(line, sizeof(line), "%-17s%llu\n", key,
+        snprintf(line, sizeof(line), "%-16s %llu\n", key,
                  static_cast<unsigned long long>(e.counter->Value()));
       } else if (e.gauge != nullptr && e.gauge->is_double()) {
-        snprintf(line, sizeof(line), "%-17s%.3f\n", key, e.gauge->DoubleValue());
+        snprintf(line, sizeof(line), "%-16s %.3f\n", key, e.gauge->DoubleValue());
       } else {
-        snprintf(line, sizeof(line), "%-17s%llu\n", key,
+        snprintf(line, sizeof(line), "%-16s %llu\n", key,
                  static_cast<unsigned long long>(e.gauge->Value()));
       }
       os << line;

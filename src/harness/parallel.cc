@@ -160,6 +160,8 @@ ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
   for (const CampaignResult& r : out.per_shard) {
     m.execs += r.execs;
     m.vtime_seconds = std::max(m.vtime_seconds, r.vtime_seconds);
+    // Shards run concurrently: the campaign took its slowest shard's time.
+    m.wall_seconds = std::max(m.wall_seconds, r.wall_seconds);
     m.corpus_size += r.corpus_size;
     m.incremental_creates += r.incremental_creates;
     m.incremental_restores += r.incremental_restores;

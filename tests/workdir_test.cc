@@ -142,22 +142,23 @@ TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   EXPECT_NE(json.find("\"root_pages\": 17", gauges), std::string::npos);
 }
 
-TEST_F(WorkdirTest, SnapshotReuseIsIncrementalRestoresPerCreate) {
-  auto read = [](const std::string& path) {
-    std::string text;
-    FILE* f = fopen(path.c_str(), "r");
-    EXPECT_NE(f, nullptr);
-    if (f == nullptr) {
-      return text;
-    }
-    char buf[4096];
-    size_t n;
-    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, n);
-    }
-    fclose(f);
+std::string ReadFile(const std::string& path) {
+  std::string text;
+  FILE* f = fopen(path.c_str(), "r");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) {
     return text;
-  };
+  }
+  char buf[4096];
+  size_t n;
+  while ((n = fread(buf, 1, sizeof(buf), f)) > 0) {
+    text.append(buf, n);
+  }
+  fclose(f);
+  return text;
+}
+
+TEST_F(WorkdirTest, SnapshotReuseIsIncrementalRestoresPerCreate) {
   auto wd = Workdir::Open(base_ + "/c");
   ASSERT_TRUE(wd.has_value());
   CampaignResult result;
@@ -165,18 +166,45 @@ TEST_F(WorkdirTest, SnapshotReuseIsIncrementalRestoresPerCreate) {
   // Nothing created: the ratio is 0, not a division by zero.
   result.incremental_restores = 5;
   ASSERT_TRUE(wd->SaveCampaign(result, Corpus()));
-  EXPECT_NE(read(base_ + "/c/stats.txt").find("inc_restores     5\nsnapshot_reuse   0.000\n"),
+  EXPECT_NE(ReadFile(base_ + "/c/stats.txt").find("inc_restores     5\nsnapshot_reuse   0.000\n"),
             std::string::npos);
 
   result.incremental_creates = 4;
   result.incremental_restores = 10;
   ASSERT_TRUE(wd->SaveCampaign(result, Corpus()));
-  EXPECT_NE(read(base_ + "/c/stats.txt").find("inc_restores     10\nsnapshot_reuse   2.500\n"),
+  EXPECT_NE(ReadFile(base_ + "/c/stats.txt").find("inc_restores     10\nsnapshot_reuse   2.500\n"),
             std::string::npos);
-  const std::string json = read(base_ + "/c/metrics.json");
+  const std::string json = ReadFile(base_ + "/c/metrics.json");
   const size_t gauges = json.find("\"gauges\"");
   ASSERT_NE(gauges, std::string::npos);
   EXPECT_NE(json.find("\"snapshot_reuse\": 2.500", gauges), std::string::npos);
+}
+
+TEST_F(WorkdirTest, WallClockSpeedFollowsVirtualSpeed) {
+  auto wd = Workdir::Open(base_ + "/c");
+  ASSERT_TRUE(wd.has_value());
+  CampaignResult result;
+  result.execs = 1000;
+  result.vtime_seconds = 2.0;
+  result.execs_per_vsecond = 500.0;
+
+  // No wall time recorded: the rate is 0, not a division by zero.
+  ASSERT_TRUE(wd->SaveCampaign(result, Corpus()));
+  EXPECT_NE(ReadFile(base_ + "/c/stats.txt")
+                .find("execs_per_vsec   500.000\nwall_seconds     0.000\n"
+                      "execs_per_wall_sec 0.000\nbranch_coverage  0\n"),
+            std::string::npos);
+
+  result.wall_seconds = 0.25;
+  ASSERT_TRUE(wd->SaveCampaign(result, Corpus()));
+  EXPECT_NE(ReadFile(base_ + "/c/stats.txt")
+                .find("wall_seconds     0.250\nexecs_per_wall_sec 4000.000\n"),
+            std::string::npos);
+  const std::string json = ReadFile(base_ + "/c/metrics.json");
+  const size_t gauges = json.find("\"gauges\"");
+  ASSERT_NE(gauges, std::string::npos);
+  EXPECT_NE(json.find("\"wall_seconds\": 0.250", gauges), std::string::npos);
+  EXPECT_NE(json.find("\"execs_per_wall_sec\": 4000.000", gauges), std::string::npos);
 }
 
 TEST_F(WorkdirTest, CrashReproducerReplaysInEngine) {
