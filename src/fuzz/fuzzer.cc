@@ -171,12 +171,9 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
         full_range_execs += rng_.Chance(1, 4) ? 1 : 0;
       }
     }
-    if (first_mutable_op == 0) {
-      full_range_execs = 0;  // the base lacks the chosen packet: no prefix to keep
-    }
 
     for (uint64_t iter = 0; iter < config_.iterations_per_schedule && !out_of_budget(); iter++) {
-      const bool full_range = iter < full_range_execs;
+      const bool full_range = iter < full_range_execs && first_mutable_op > 0;
       mutated = base;
       {
         telemetry::ScopedPhase phase(telemetry::Phase::kMutate);
