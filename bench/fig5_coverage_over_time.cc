@@ -162,9 +162,11 @@ int main() {
   for (size_t t = 0; t < ablation_targets.size(); t++) {
     const std::vector<CampaignResult>& off = fgrid[t * 2];
     const std::vector<CampaignResult>& on = fgrid[t * 2 + 1];
-    const double cov_off = off.empty() ? 0.0 : Median(branches(off));
-    const double cov_on = on.empty() ? 0.0 : Median(branches(on));
-    const double p_value = MannWhitneyUPValue(branches(off), branches(on));
+    const std::vector<double> branches_off = branches(off);
+    const std::vector<double> branches_on = branches(on);
+    const double cov_off = off.empty() ? 0.0 : Median(branches_off);
+    const double cov_on = on.empty() ? 0.0 : Median(branches_on);
+    const double p_value = MannWhitneyUPValue(branches_off, branches_on);
     uint64_t faults = 0;
     uint64_t faulted_bytes = 0;
     for (const auto& r : on) {

@@ -148,8 +148,11 @@ TEST(ShardedCampaignTest, MergedAggregatesShards) {
   ASSERT_TRUE(out.supported);
   CampaignResult sum;
   size_t best_cov = 0;
+  double slowest = 0.0;
   for (const CampaignResult& r : out.per_shard) {
     EXPECT_GT(r.execs, 0u);
+    EXPECT_GT(r.wall_seconds, 0.0);
+    slowest = std::max(slowest, r.wall_seconds);
     sum.execs += r.execs;
     sum.corpus_size += r.corpus_size;
     sum.incremental_creates += r.incremental_creates;
@@ -188,6 +191,8 @@ TEST(ShardedCampaignTest, MergedAggregatesShards) {
   EXPECT_EQ(m.pages_restored, sum.pages_restored);
   EXPECT_EQ(m.pages_captured, sum.pages_captured);
   EXPECT_EQ(m.root_pages, sum.root_pages);
+  // Shards run concurrently, so the campaign took its slowest shard's time.
+  EXPECT_EQ(m.wall_seconds, slowest);
   // The frontier-merged map covers at least what the best shard saw.
   EXPECT_GE(out.merged.branch_coverage, best_cov);
   EXPECT_GT(out.merged.branch_coverage, 0u);

@@ -180,7 +180,7 @@ TEST_F(WorkdirTest, SnapshotReuseIsIncrementalRestoresPerCreate) {
   EXPECT_NE(json.find("\"snapshot_reuse\": 2.500", gauges), std::string::npos);
 }
 
-TEST_F(WorkdirTest, WallClockSpeedFollowsVirtualSpeed) {
+TEST_F(WorkdirTest, ReportsWallClockSpeed) {
   auto wd = Workdir::Open(base_ + "/c");
   ASSERT_TRUE(wd.has_value());
   CampaignResult result;
