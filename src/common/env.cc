@@ -56,7 +56,6 @@ size_t Jobs(size_t def) { return SizeOr("NYX_JOBS", def); }
 double Wall(double def) { return DoubleOr("NYX_WALL", def); }
 bool LockDebug(bool def) { return FlagOr("NYX_LOCK_DEBUG", def); }
 bool Audit() { return Flag("NYX_AUDIT"); }
-std::string TracePath() { return StringOr("NYX_TRACE", ""); }
 
 }  // namespace env
 }  // namespace nyx

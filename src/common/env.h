@@ -21,11 +21,7 @@
 //                   execution runs twice and end states are compared
 //   NYX_BENCH_OUT   output path override for BENCH_*.json writers
 //   NYX_FIG5_TARGETS / NYX_FIG6_VM_MB / NYX_MARIO_LEVELS  bench-local knobs
-//   NYX_TELEMETRY   enable the phase profiler / metric registry (flag);
-//                   implied by NYX_TRACE (src/common/telemetry.h)
-//   NYX_TRACE       path to write a Chrome trace-event JSON timeline of
-//                   every instrumented phase (src/common/trace.h)
-//   NYX_TRACE_RING  per-thread trace ring capacity in events (default 65536)
+//   NYX_TELEMETRY   enable the phase profiler (flag; src/common/telemetry.h)
 //   NYX_PHASE_OUT   output path override for BENCH_phase_breakdown.json
 //                   (table3 / fig6 phase-breakdown passes)
 
@@ -60,7 +56,6 @@ size_t Jobs(size_t def);       // NYX_JOBS
 double Wall(double def);       // NYX_WALL
 bool LockDebug(bool def);      // NYX_LOCK_DEBUG (overrides `def` both ways)
 bool Audit();                  // NYX_AUDIT
-std::string TracePath();       // NYX_TRACE ("" when unset)
 
 }  // namespace env
 }  // namespace nyx

@@ -9,7 +9,6 @@
 
 #include "src/common/check.h"
 #include "src/common/env.h"
-#include "src/common/trace.h"
 
 namespace nyx {
 namespace telemetry {
@@ -67,7 +66,7 @@ const char* PhaseName(Phase phase) {
 
 void InitFromEnv() {
   int expected = -1;
-  const int from_env = (env::Flag("NYX_TELEMETRY") || !env::TracePath().empty()) ? 1 : 0;
+  const int from_env = env::Flag("NYX_TELEMETRY") ? 1 : 0;
   g_enabled.compare_exchange_strong(expected, from_env, std::memory_order_relaxed);
 }
 
@@ -337,7 +336,6 @@ void ScopedPhase::End() {
   if (st.depth > 0) {
     st.frames[st.depth - 1].child_ns += total;
   }
-  trace::RecordPhase(frame.phase, frame.start_ns, total);
 }
 
 size_t PhaseDepth() { return t_phase_stack.depth; }

@@ -1,9 +1,8 @@
 // Telemetry layer: metric registry + per-exec phase profiler (DESIGN.md §11).
 //
 // Nyx-Net's headline result is throughput, and every optimization argument
-// ("the dirty-ring tracker must beat mprotect", "the frontier cadence is too
-// aggressive") needs to say *where each microsecond of an exec goes*. The
-// flat counters in stats.txt cannot answer that. This layer provides:
+// needs to say *where each microsecond of an exec goes*. The flat counters
+// in stats.txt cannot answer that. This layer provides:
 //
 //  * MetricRegistry — named counters, gauges and log2-bucketed latency
 //    histograms. Counters and histograms are backed by cache-line-padded
@@ -19,12 +18,10 @@
 //  * ScopedPhase — RAII timer attributing wall time to a Phase. When
 //    telemetry is disabled (the default) construction is one relaxed atomic
 //    load and nothing else: the hot path stays within noise of an
-//    uninstrumented build. When enabled it also feeds the per-thread trace
-//    ring (src/common/trace.h) so NYX_TRACE=<path> yields a Chrome
-//    trace-event timeline.
+//    uninstrumented build. The phase.<name>_ns histograms are the
+//    profiler's only output.
 //
-// Enabling: NYX_TELEMETRY=1 turns on phase profiling; NYX_TRACE=<path>
-// implies it and additionally records/flushes the timeline. Benches flip it
+// Enabling: NYX_TELEMETRY=1 turns on phase profiling. Benches flip it
 // programmatically via SetTelemetryEnabled (table3's phase-breakdown pass).
 //
 // Wall-clock note: phase timing deliberately reads the *real* monotonic
@@ -32,7 +29,8 @@
 // drives fuzzing logic (src/common/vclock.h). All reads live behind NowNs()
 // in telemetry.cc, which is a sanctioned wall-clock site of the nyx_lint
 // `raw-time` rule; telemetry never feeds back into execution, so
-// determinism is unaffected (the combined audit+trace test holds this).
+// determinism is unaffected (the audited campaign in tests/trace_test.cc
+// holds this).
 
 #ifndef SRC_COMMON_TELEMETRY_H_
 #define SRC_COMMON_TELEMETRY_H_
@@ -66,8 +64,8 @@ enum class Phase : uint8_t {
 
 inline constexpr size_t kPhaseCount = static_cast<size_t>(Phase::kPhaseCount);
 
-// Stable lowercase-dash name ("snapshot-restore"), used in stats dumps,
-// trace events and BENCH_phase_breakdown.json.
+// Stable lowercase-dash name ("snapshot-restore"), used in stats dumps and
+// BENCH_phase_breakdown.json.
 const char* PhaseName(Phase phase);
 
 // ---------------------------------------------------------------------------
@@ -77,8 +75,8 @@ const char* PhaseName(Phase phase);
 bool Enabled();
 // Programmatic override (benches, tests). Takes effect immediately.
 void SetTelemetryEnabled(bool enabled);
-// Applies the environment policy: enabled when NYX_TELEMETRY=1 or NYX_TRACE
-// is set. Called lazily on first Enabled() read; idempotent.
+// Applies the environment policy: enabled when NYX_TELEMETRY=1. Called
+// lazily on first Enabled() read; idempotent.
 void InitFromEnv();
 
 // Monotonic wall-clock nanoseconds. The only wall-clock read telemetry ever

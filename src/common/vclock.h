@@ -37,7 +37,6 @@ struct CostModel {
   uint64_t snapshot_page_copy_ns = 180;      // copy + mprotect re-arm per page
   uint64_t incremental_create_page_ns = 200; // CoW write per page
   uint64_t device_reset_fast_ns = 4'000;
-  uint64_t device_reset_slow_ns = 160'000;   // QEMU serialize/deserialize
   // Baseline (AFLNet-style) per-execution overheads.
   uint64_t process_spawn_ns = 350'000;       // fork+exec of the server
   uint64_t server_ready_poll_ns = 2'000'000; // polling until the port is open

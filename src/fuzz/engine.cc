@@ -70,14 +70,13 @@ NyxEngine::NyxEngine(const EngineConfig& config, TargetFactory factory, const Sp
   state_registry_.DeclareEphemeral("guest.fault_jmp", "src/fuzz/guest.cc",
                                    [] { return FaultGuardIdle(); });
   state_registry_.DeclareEphemeral("coverage.trace_map", "src/fuzz/coverage.h");
-  // Telemetry is observational host state: phase timers and the trace ring
-  // never feed back into execution, so they are per-exec ephemeral, not
-  // snapshot state. The verify hook pins the invariant that makes this
-  // sound — no phase scope may straddle an execution boundary (a frame left
-  // open would attribute one exec's time to another).
+  // Telemetry is observational host state: phase timers never feed back
+  // into execution, so they are per-exec ephemeral, not snapshot state. The
+  // verify hook pins the invariant that makes this sound — no phase scope
+  // may straddle an execution boundary (a frame left open would attribute
+  // one exec's time to another).
   state_registry_.DeclareEphemeral("telemetry.phase_timers", "src/common/telemetry.cc",
                                    [] { return telemetry::PhaseDepth() == 0; });
-  state_registry_.DeclareEphemeral("telemetry.trace_ring", "src/common/trace.cc");
 }
 
 Bytes NyxEngine::SerializeInterpState(uint32_t resume_op) {

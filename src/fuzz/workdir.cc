@@ -60,9 +60,10 @@ bool Workdir::WriteProgram(const std::string& file, const Program& program) {
   if (f == nullptr) {
     return false;
   }
-  const bool ok = fwrite(wire.data(), 1, wire.size(), f) == wire.size();
-  fclose(f);
-  return ok;
+  // A buffered write to a full disk fails only at fclose, so both count.
+  const bool written = fwrite(wire.data(), 1, wire.size(), f) == wire.size();
+  const bool closed = fclose(f) == 0;
+  return written && closed;
 }
 
 std::optional<Program> Workdir::ReadProgram(const std::string& file, const Spec& spec) {

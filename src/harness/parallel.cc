@@ -8,7 +8,6 @@
 #include "src/common/env.h"
 #include "src/common/hash.h"
 #include "src/common/sync.h"
-#include "src/common/trace.h"
 #include "src/fuzz/frontier.h"
 #include "src/targets/registry.h"
 
@@ -34,8 +33,7 @@ void ParallelFor(size_t n, size_t jobs, const std::function<void(size_t)>& body)
   // and the surrounding stack frame (captured by reference below) must not
   // share the line with it.
   alignas(kCacheLineSize) std::atomic<size_t> next{0};
-  auto worker = [&](size_t w) {
-    trace::SetThreadTrackName("worker-" + std::to_string(w));
+  auto worker = [&] {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
       body(i);
@@ -45,7 +43,7 @@ void ParallelFor(size_t n, size_t jobs, const std::function<void(size_t)>& body)
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t w = 0; w < workers; w++) {
-    threads.emplace_back(worker, w);
+    threads.emplace_back(worker);
   }
   for (std::thread& t : threads) {
     t.join();
@@ -131,7 +129,6 @@ ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
   threads.reserve(shards);
   for (size_t s = 0; s < shards; s++) {
     threads.emplace_back([&, s] {
-      trace::SetThreadTrackName("shard-" + std::to_string(s));
       EngineConfig ecfg;
       ecfg.vm.mem_pages = cs.vm_pages;
       ecfg.vm.disk_sectors = 512;

@@ -344,10 +344,9 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
   const bool time_exempt = !StartsWith(rel, "src/") || StartsWith(rel, "src/harness/") ||
                            rel == "src/fuzz/fuzzer.cc" || rel == "src/baselines/baseline.cc" ||
                            rel == "src/common/telemetry.cc" || self;
-  // The metric/trace layer is built out of the raw atomics it exists to
-  // replace everywhere else.
-  const bool metrics_impl = StartsWith(rel, "src/common/telemetry.") ||
-                            StartsWith(rel, "src/common/trace.") || self;
+  // The metric layer is built out of the raw atomics it exists to replace
+  // everywhere else.
+  const bool metrics_impl = StartsWith(rel, "src/common/telemetry.") || self;
   const bool snapshot_dirs = InSnapshotDirs(rel);
   // The dirty tracker is built out of the raw protection syscall it wraps.
   const bool protect_impl = StartsWith(rel, "src/vm/guest_memory.");

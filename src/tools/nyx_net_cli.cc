@@ -169,8 +169,9 @@ int CmdFuzz(const Args& args) {
     printf("fuzzing %s with Nyx-Net (%s policy), %.0f virtual seconds...\n", target.c_str(),
            args.Get("policy", "balanced").c_str(), limits.vtime_seconds);
     result = fuzzer.Run(limits);
-    if (workdir.has_value()) {
-      workdir->SaveCampaign(result, fuzzer.corpus());
+    if (workdir.has_value() && !workdir->SaveCampaign(result, fuzzer.corpus())) {
+      fprintf(stderr, "cannot save the campaign to %s\n", workdir->path().c_str());
+      return 1;
     }
   } else {
     CampaignSpec cs;

@@ -33,15 +33,8 @@ void Vm::TakeRootSnapshot(Bytes aux) {
 }
 
 void Vm::RestoreDevices(const DeviceState& saved) {
-  if (config_.fast_device_reset) {
-    devices_.CopyFrom(saved);
-    Charge(cost_ != nullptr ? cost_->device_reset_fast_ns : 0);
-  } else {
-    // QEMU-style: serialize the saved state and parse it back field by field.
-    Bytes blob = saved.Serialize();
-    NYX_CHECK(devices_.Deserialize(blob)) << "device state failed to round-trip";
-    Charge(cost_ != nullptr ? cost_->device_reset_slow_ns : 0);
-  }
+  devices_.CopyFrom(saved);
+  Charge(cost_ != nullptr ? cost_->device_reset_fast_ns : 0);
 }
 
 void Vm::RestorePages(std::span<const uint32_t> delta, const IncrementalSnapshot* inc) {

@@ -39,7 +39,6 @@ namespace nyx {
 struct VmConfig {
   size_t mem_pages = 1024;     // 4 MiB default guest RAM
   size_t disk_sectors = 2048;  // 1 MiB default disk
-  bool fast_device_reset = true;  // false = QEMU-style serialize/deserialize
 };
 
 struct VmStats {

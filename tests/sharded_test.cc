@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/telemetry.h"
 #include "src/fuzz/frontier.h"
 #include "src/harness/campaign.h"
 #include "src/harness/parallel.h"
@@ -144,7 +145,17 @@ TEST(ShardedCampaignTest, OneShardMatchesPlainCampaign) {
 TEST(ShardedCampaignTest, MergedAggregatesShards) {
   CampaignSpec cs = ShardableSpec();
   cs.fault_injection = true;
+  // The phase profiler runs too: the shards' frontier exchanges and guest
+  // runs must reach the process-wide phase histograms.
+  telemetry::Histogram* sync = telemetry::PhaseHistogram(telemetry::Phase::kFrontierSync);
+  telemetry::Histogram* run = telemetry::PhaseHistogram(telemetry::Phase::kGuestRun);
+  const uint64_t sync_before = sync->Total();
+  const uint64_t run_before = run->Total();
+  telemetry::SetTelemetryEnabled(true);
   const ShardedOutcome out = RunShardedCampaign(cs, 2);
+  telemetry::SetTelemetryEnabled(false);
+  EXPECT_GT(sync->Total(), sync_before);
+  EXPECT_GT(run->Total(), run_before);
   ASSERT_TRUE(out.supported);
   CampaignResult sum;
   size_t best_cov = 0;

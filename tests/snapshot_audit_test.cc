@@ -10,11 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <optional>
 
-#include "src/common/telemetry.h"
-#include "src/common/trace.h"
 #include "src/fuzz/fuzzer.h"
 #include "src/mario/mario_target.h"
 #include "src/spec/builder.h"
@@ -251,40 +248,6 @@ TEST(SnapshotAuditTest, AuditCountersReachCampaignResult) {
   EXPECT_GT(result.pages_audited, 0u);
   EXPECT_EQ(result.audit_divergences, 0u);
   EXPECT_EQ(result.pages_audited, fuzzer.engine().auditor()->stats().pages_audited);
-}
-
-// Telemetry and tracing are observation-only: an audited campaign must stay
-// divergence-free with the phase profiler and trace recorder running, and
-// every exec must end with the phase stack empty — the invariant behind the
-// "telemetry.phase_timers" ephemeral that CheckEphemeral verifies per exec.
-TEST(SnapshotAuditTest, DivergenceFreeWithTracingEnabled) {
-  const std::string trace_path = ::testing::TempDir() + "audit_trace.json";
-  trace::SetTracePathForTest(trace_path);
-  telemetry::SetTelemetryEnabled(true);
-
-  auto reg = FindTarget("lightftp");
-  ASSERT_TRUE(reg.has_value());
-  const Spec spec = reg->make_spec();
-  FuzzerConfig fcfg;
-  fcfg.policy = PolicyMode::kBalanced;
-  NyxFuzzer fuzzer(AuditedConfig(), reg->factory, spec, fcfg);
-  for (const Program& s : reg->make_seeds(spec)) {
-    fuzzer.AddSeed(s);
-  }
-  CampaignResult result = fuzzer.Run(ShortLimits());
-
-  EXPECT_GT(result.pages_audited, 0u);
-  EXPECT_EQ(result.audit_divergences, 0u);
-  EXPECT_EQ(telemetry::PhaseDepth(), 0u);
-  // The profiler actually observed the campaign, and the recorder kept the
-  // events and can flush a timeline.
-  EXPECT_GT(telemetry::PhaseHistogram(telemetry::Phase::kGuestRun)->Total(), 0u);
-  EXPECT_GT(trace::GetRecorderStats().recorded, 0u);
-  EXPECT_TRUE(trace::WriteTrace(trace_path));
-
-  telemetry::SetTelemetryEnabled(false);
-  trace::SetTracePathForTest("");
-  remove(trace_path.c_str());
 }
 
 TEST(SnapshotAuditTest, AuditOffByDefault) {

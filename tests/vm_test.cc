@@ -182,23 +182,6 @@ TEST(VmTest, ClockChargedForRestores) {
   EXPECT_GE(charged, cost.snapshot_restore_fixed_ns + cost.snapshot_page_copy_ns);
 }
 
-TEST(VmTest, SlowDeviceResetChargesMore) {
-  VmConfig cfg = SmallConfig();
-  cfg.fast_device_reset = false;
-  Vm slow(cfg);
-  Vm fast(SmallConfig());
-  VirtualClock clock_slow;
-  VirtualClock clock_fast;
-  CostModel cost;
-  slow.AttachClock(&clock_slow, &cost);
-  fast.AttachClock(&clock_fast, &cost);
-  slow.TakeRootSnapshot();
-  fast.TakeRootSnapshot();
-  slow.RestoreRoot();
-  fast.RestoreRoot();
-  EXPECT_GT(clock_slow.now_ns(), clock_fast.now_ns());
-}
-
 TEST(VmTest, StatsCountPagesRestored) {
   Vm vm(SmallConfig());
   vm.TakeRootSnapshot();

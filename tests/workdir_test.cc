@@ -86,6 +86,13 @@ TEST_F(WorkdirTest, CrashRoundTrip) {
   EXPECT_EQ(ToString(crashes[0].second.ops[1].data), "BOOM\r\n");
 }
 
+// /dev/full accepts the buffered fwrite and fails the flush at fclose with
+// ENOSPC, the way a full disk does.
+TEST_F(WorkdirTest, WriteToFullDiskFails) {
+  Spec spec = Spec::GenericNetwork();
+  EXPECT_FALSE(Workdir::WriteProgram("/dev/full", MakeProgram(spec, "USER a")));
+}
+
 TEST_F(WorkdirTest, SaveCampaignWritesEverything) {
   Spec spec = Spec::GenericNetwork();
   auto wd = Workdir::Open(base_ + "/c");
