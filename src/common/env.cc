@@ -19,14 +19,6 @@ bool Flag(const char* name) {
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
-bool FlagOr(const char* name, bool def) {
-  const char* v = Raw(name);
-  if (v == nullptr || v[0] == '\0') {
-    return def;
-  }
-  return v[0] != '0';
-}
-
 size_t SizeOr(const char* name, size_t def) {
   const char* v = Raw(name);
   if (v == nullptr || v[0] == '\0') {
@@ -54,7 +46,6 @@ size_t Runs(size_t def) { return SizeOr("NYX_RUNS", def); }
 double Vtime(double def) { return DoubleOr("NYX_VTIME", def); }
 size_t Jobs(size_t def) { return SizeOr("NYX_JOBS", def); }
 double Wall(double def) { return DoubleOr("NYX_WALL", def); }
-bool LockDebug(bool def) { return FlagOr("NYX_LOCK_DEBUG", def); }
 bool Audit() { return Flag("NYX_AUDIT"); }
 
 }  // namespace env

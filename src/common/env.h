@@ -16,7 +16,6 @@
 //   NYX_VTIME       virtual-time budget per campaign in seconds (positive)
 //   NYX_JOBS        worker-pool width for the parallel harness (positive)
 //   NYX_WALL        wall-clock budget for table1/table4 (positive seconds)
-//   NYX_LOCK_DEBUG  enable the lock-hierarchy analyzer (flag)
 //   NYX_AUDIT       enable the snapshot divergence auditor (flag): every
 //                   execution runs twice and end states are compared
 //   NYX_BENCH_OUT   output path override for BENCH_*.json writers
@@ -38,9 +37,6 @@ namespace env {
 
 // True when `name` is set to a non-empty value other than "0".
 bool Flag(const char* name);
-// Like Flag, but `def` when unset or empty (for knobs that can override a
-// build-type default in both directions, e.g. NYX_LOCK_DEBUG=0).
-bool FlagOr(const char* name, bool def);
 // Positive-integer knob; `def` when unset, empty or not a positive number.
 size_t SizeOr(const char* name, size_t def);
 // Positive-double knob; `def` when unset, empty or not positive.
@@ -54,7 +50,6 @@ size_t Runs(size_t def);       // NYX_RUNS
 double Vtime(double def);      // NYX_VTIME
 size_t Jobs(size_t def);       // NYX_JOBS
 double Wall(double def);       // NYX_WALL
-bool LockDebug(bool def);      // NYX_LOCK_DEBUG (overrides `def` both ways)
 bool Audit();                  // NYX_AUDIT
 
 }  // namespace env

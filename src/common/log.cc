@@ -12,12 +12,11 @@ namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 // Serializes the stderr write so concurrent workers cannot interleave
-// halves of two log lines. Rank kLog is the hierarchy leaf: logging happens
-// under other locks (e.g. soft-contract reports inside a frontier sync),
-// but nothing may acquire another lock while emitting a line. Function-local
-// so the mutex is constructed on first use regardless of static init order.
+// halves of two log lines. A leaf: nothing acquires another lock while
+// emitting a line. Function-local so the mutex is constructed on first use
+// regardless of static init order.
 Mutex& OutputMutex() {
-  static Mutex mu("log.stderr", LockRank::kLog);
+  static Mutex mu;
   return mu;
 }
 

@@ -1,32 +1,22 @@
 // Capability-annotated synchronization layer. Every lock in the codebase
 // goes through this header — raw std::mutex / std::condition_variable /
 // std::lock_guard are banned outside it (enforced by nyx_lint, rule
-// raw-sync) — so the threading model in DESIGN.md §8/§9 is machine-checked
-// twice over:
+// raw-sync) — so the threading model in DESIGN.md §8/§9 is machine-checked:
+// the NYX_GUARDED_BY / NYX_REQUIRES / ... macros expand to Clang
+// `thread_safety` attributes (no-ops elsewhere). CI builds src/ with
+// -Wthread-safety -Werror=thread-safety, so an unannotated access to a
+// guarded field or a call to a NYX_REQUIRES method without the lock is a
+// compile error.
 //
-//  1. Statically: the NYX_GUARDED_BY / NYX_REQUIRES / ... macros expand to
-//     Clang `thread_safety` attributes (no-ops elsewhere). CI builds src/
-//     with -Wthread-safety -Werror=thread-safety, so an unannotated access
-//     to a guarded field or a call to a NYX_REQUIRES method without the
-//     lock is a compile error.
-//  2. Dynamically: in debug builds (or with NYX_LOCK_DEBUG=1) every Mutex
-//     carries a rank and a name. Acquisitions maintain a per-thread
-//     held-lock stack plus a global acquired-after graph; a rank inversion,
-//     a cycle in the graph, or a recursive acquisition aborts via NYX_CHECK
-//     with both acquisition stacks printed. The checks sit on lock
-//     boundaries only (frontier syncs, log lines) — never on the per-exec
-//     hot path, which is lock-free by design.
-//
-// Acquisition and contention totals are exposed via GetSyncStats() and land
-// in every campaign's workdir stats.txt.
+// Two kinds of mutex exist: log output's and each telemetry registry's. Both
+// are leaves: no code path takes one while it holds another, so there is no
+// lock order to check at run time. The per-exec hot path takes no lock.
 
 #ifndef SRC_COMMON_SYNC_H_
 #define SRC_COMMON_SYNC_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -47,8 +37,6 @@
 #define NYX_SCOPED_CAPABILITY NYX_THREAD_ANNOTATION(scoped_lockable)
 // On data members: reads/writes require holding the named capability.
 #define NYX_GUARDED_BY(x) NYX_THREAD_ANNOTATION(guarded_by(x))
-// On pointer members: the pointee (not the pointer) is guarded.
-#define NYX_PT_GUARDED_BY(x) NYX_THREAD_ANNOTATION(pt_guarded_by(x))
 // On functions: caller must hold the capability on entry (and keeps it).
 #define NYX_REQUIRES(...) NYX_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 // On functions: acquires the capability; caller must not already hold it.
@@ -58,12 +46,6 @@
 // On functions: caller must NOT hold the capability (deadlock guard for
 // public entry points of classes with an internal lock).
 #define NYX_EXCLUDES(...) NYX_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-// On functions: returns a reference to the given capability.
-#define NYX_RETURN_CAPABILITY(x) NYX_THREAD_ANNOTATION(lock_returned(x))
-// Escape hatch for code that is correct for reasons the analysis cannot
-// see (e.g. "all worker threads have been joined"). Use sparingly and
-// always with a comment explaining the out-of-band invariant.
-#define NYX_NO_THREAD_SAFETY_ANALYSIS NYX_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace nyx {
 
@@ -85,69 +67,25 @@ inline constexpr size_t kCacheLineSize = 64;
 #endif
 
 // ---------------------------------------------------------------------------
-// Lock ranks. Ascending rank = acquired later: a thread may acquire a ranked
-// mutex only while every ranked mutex it already holds has a strictly lower
-// rank (same-rank nesting is an inversion too). kAny opts out of the static
-// order — such mutexes are still covered by the acquired-after graph, which
-// catches A-then-B vs B-then-A cycles between any two named locks.
-// The full hierarchy table lives in DESIGN.md §9.
-enum class LockRank : int {
-  kAny = 0,       // unranked: graph-checked only
-  kFrontier = 10,  // CorpusFrontier::mu_ — sharded corpus exchange
-  kLog = 100,      // log output serialization (leaf: nothing nests under it)
-};
-
-// Acquisition totals across every Mutex in the process (stats.txt rows
-// lock_acquired / lock_contended). `contended` counts acquisitions that
-// found the mutex already held and had to block.
-struct SyncStats {
-  uint64_t acquisitions = 0;
-  uint64_t contended = 0;
-};
-SyncStats GetSyncStats();
-void ResetSyncStats();
-
-// True when the runtime lock-hierarchy analyzer is active: default on in
-// debug builds, off under NDEBUG; the NYX_LOCK_DEBUG env knob (0/1)
-// overrides either way (EXPERIMENTS.md).
-bool LockDebugEnabled();
-
-namespace internal {
-// Test/CLI override for LockDebugEnabled(), bypassing the env knob.
-void SetLockDebugForTest(bool enabled);
-}  // namespace internal
-
-// ---------------------------------------------------------------------------
-// Annotated mutex. The name keys the acquired-after graph (stable across
-// instances, e.g. every campaign's frontier mutex shares one graph node);
-// the rank places it in the static hierarchy.
+// Annotated mutex. Lock and Unlock are private: a MutexLock scope is the only
+// way to hold one, so a release without a matching acquisition cannot be
+// written.
 class NYX_CAPABILITY("mutex") Mutex {
  public:
-  explicit Mutex(const char* name, LockRank rank = LockRank::kAny)
-      : name_(name), rank_(rank) {}
-
+  Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() NYX_ACQUIRE();
-  void Unlock() NYX_RELEASE();
-
-  // BasicLockable spelling so CondVar (std::condition_variable_any) can
-  // release/reacquire through the instrumented path — the analyzer's
-  // held-lock stack stays exact across a Wait().
-  void lock() NYX_ACQUIRE() { Lock(); }
-  void unlock() NYX_RELEASE() { Unlock(); }
-
-  const char* name() const { return name_; }
-  LockRank rank() const { return rank_; }
-
  private:
+  friend class MutexLock;
+
+  void Lock() NYX_ACQUIRE() { mu_.lock(); }
+  void Unlock() NYX_RELEASE() { mu_.unlock(); }
+
   std::mutex mu_;
-  const char* const name_;
-  const LockRank rank_;
 };
 
-// RAII scoped acquisition, the only idiomatic way to hold a Mutex.
+// RAII scoped acquisition.
 class NYX_SCOPED_CAPABILITY MutexLock {
  public:
   // Acquires through the parameter (not the member alias) so the static
@@ -160,19 +98,6 @@ class NYX_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Condition variable bound to the annotated Mutex. Waits go through
-// Mutex::lock()/unlock(), so hierarchy bookkeeping and contention counters
-// survive the release/reacquire inside wait.
-class CondVar {
- public:
-  void Wait(Mutex& mu) NYX_REQUIRES(mu) { cv_.wait(mu); }
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 // ---------------------------------------------------------------------------

@@ -54,8 +54,6 @@ const char* PhaseName(Phase phase) {
       return "guest-run";
     case Phase::kCoverageMerge:
       return "coverage-merge";
-    case Phase::kFrontierSync:
-      return "frontier-sync";
     case Phase::kAudit:
       return "audit";
     case Phase::kPhaseCount:

@@ -12,9 +12,9 @@
 //    (the SIGSEGV dirty-tracking handler bumps one).
 //  * A fixed phase taxonomy (enum Phase) covering the per-exec pipeline:
 //    mutate → verify → snapshot-restore → dirty-reset → netemu → guest-run →
-//    coverage-merge → frontier-sync → audit. Every phase owns a histogram of
-//    self-time (nested phases subtract their children, so the breakdown sums
-//    to wall time without double counting).
+//    coverage-merge → audit. Every phase owns a histogram of self-time
+//    (nested phases subtract their children, so the breakdown sums to wall
+//    time without double counting).
 //  * ScopedPhase — RAII timer attributing wall time to a Phase. When
 //    telemetry is disabled (the default) construction is one relaxed atomic
 //    load and nothing else: the hot path stays within noise of an
@@ -57,7 +57,6 @@ enum class Phase : uint8_t {
   kNetemu,          // emulated network: connection setup, packet delivery
   kGuestRun,        // target code running until it blocks on input
   kCoverageMerge,   // folding the exec trace into global coverage
-  kFrontierSync,    // sharded corpus exchange barrier (incl. wait time)
   kAudit,           // divergence auditor replays + fingerprint comparison
   kPhaseCount,
 };
@@ -114,7 +113,7 @@ class Counter {
   PaddedSlot shards_[kShards];
 };
 
-// Last-write-wins instantaneous value (corpus size, shard count, ...).
+// Last-write-wins instantaneous value (corpus size, pinned pages, ...).
 // Gauges are set from one logical owner at a time, so a single slot is fine.
 class Gauge {
  public:
@@ -212,7 +211,7 @@ class MetricRegistry {
   };
   void* Find(const std::string& name, uint8_t kind) NYX_REQUIRES(mu_);
 
-  mutable Mutex mu_{"telemetry.registry", LockRank::kAny};
+  mutable Mutex mu_;
   std::vector<Named> metrics_ NYX_GUARDED_BY(mu_);
 };
 

@@ -86,8 +86,7 @@ class Corpus {
   std::unordered_set<uint64_t> seen_;
   uint64_t corpus_dupes_ = 0;
   // The queue is worker-owned, never locked: one NyxFuzzer mutates it on
-  // one thread start-to-finish (DESIGN.md §8.1). Frontier imports happen on
-  // that same thread after ExchangeSync returns. Debug builds verify the
+  // one thread start-to-finish (DESIGN.md §8.1). Debug builds verify the
   // single-thread claim on every mutating entry point.
   ThreadChecker thread_checker_;
 };

@@ -91,36 +91,4 @@ bool GlobalCoverage::MergeAndCheckNew(const CoverageMap& trace) {
   return new_bits;
 }
 
-bool GlobalCoverage::MergeFrom(const GlobalCoverage& other) {
-  bool new_bits = false;
-  for (size_t off = 0; off < kCovMapSize; off += 8) {
-    // Bits *cleared* in the other virgin map that are still set here.
-    const uint64_t fresh_w = ~LoadWord(other.virgin_.data() + off) & LoadWord(virgin_.data() + off);
-    if (fresh_w == 0) {
-      continue;
-    }
-    for (size_t i = off; i < off + 8; i++) {
-      const uint8_t fresh = static_cast<uint8_t>(~other.virgin_[i] & virgin_[i]);
-      if (fresh != 0) {
-        if (virgin_[i] == 0xff) {
-          edge_count_++;
-        }
-        virgin_[i] &= static_cast<uint8_t>(~fresh);
-        new_bits = true;
-      }
-    }
-  }
-  for (size_t off = 0; off < kSiteBytes; off += 8) {
-    const uint64_t theirs = LoadWord(other.sites_.data() + off);
-    const uint64_t mine = LoadWord(sites_.data() + off);
-    const uint64_t fresh = theirs & ~mine;
-    if (fresh != 0) {
-      StoreWord(sites_.data() + off, mine | fresh);
-      site_count_ += static_cast<size_t>(__builtin_popcountll(fresh));
-      new_bits = true;
-    }
-  }
-  return new_bits;
-}
-
 }  // namespace nyx

@@ -106,11 +106,9 @@ class CoverageMap {
 };
 
 // Campaign-global accumulation: virgin bits for edge+hitcount novelty, site
-// union for branch-coverage reporting.
-//
-// Ownership is context-dependent, so no ThreadChecker here: each fuzzer's
-// instance is worker-owned, while CorpusFrontier::merged_cov_ is written by
-// every departing shard — under the frontier mutex (NYX_GUARDED_BY(mu_)).
+// union for branch-coverage reporting. Worker-owned: each NyxFuzzer and
+// BaselineFuzzer folds its traces into its own instance on the thread that
+// runs its campaign (DESIGN.md §8.1).
 class GlobalCoverage {
  public:
   GlobalCoverage() {
@@ -121,11 +119,6 @@ class GlobalCoverage {
   // Classifies hit counts into AFL's 8 buckets and folds the trace into the
   // virgin map. Returns true if any new (edge, bucket) bit appeared.
   bool MergeAndCheckNew(const CoverageMap& trace);
-
-  // Folds another campaign-global map into this one (sharded-fuzzing corpus
-  // sync, see fuzz/frontier.h). Returns true if `other` had any (edge,
-  // bucket) bit or site this map had not seen.
-  bool MergeFrom(const GlobalCoverage& other);
 
   // Distinct instrumentation sites ever hit ("branch coverage").
   size_t SiteCount() const { return site_count_; }

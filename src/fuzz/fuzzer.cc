@@ -4,7 +4,6 @@
 
 #include "src/common/check.h"
 #include "src/common/telemetry.h"
-#include "src/fuzz/frontier.h"
 
 namespace nyx {
 
@@ -95,22 +94,6 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
     result.coverage_over_time.Record(t, static_cast<double>(global_cov_.SiteCount()));
     result.execs_over_time.Record(t, static_cast<double>(result.execs));
   };
-  // Sharded mode: package the entries found since the last sync for the
-  // frontier (corpus indices stay valid — entries live in a deque).
-  auto drain_pending = [&] {
-    std::vector<CorpusFrontier::Entry> batch;
-    batch.reserve(pending_publish_.size());
-    for (size_t idx : pending_publish_) {
-      const CorpusEntry& e = corpus_.entry(idx);
-      CorpusFrontier::Entry fe;
-      fe.program = e.program;
-      fe.vtime_ns = e.vtime_ns;
-      fe.packet_count = e.packet_count;
-      batch.push_back(std::move(fe));
-    }
-    pending_publish_.clear();
-    return batch;
-  };
 
   // Dry-run the seeds.
   for (size_t i = 0; i < corpus_.size() && !out_of_budget(); i++) {
@@ -187,10 +170,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
         found_since_last_schedule = true;
         mutated.StripSnapshotMarkers();
         const size_t packets = mutated.PacketOpIndices(spec_).size();
-        if (corpus_.Add(std::move(mutated), last_exec_vtime_, packets, vnow()) &&
-            config_.frontier != nullptr) {
-          pending_publish_.push_back(corpus_.size() - 1);
-        }
+        corpus_.Add(std::move(mutated), last_exec_vtime_, packets, vnow());
         record_coverage();
       }
       if (result.ijon_best > prev_ijon_best) {
@@ -202,31 +182,6 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
         found_since_last_schedule = true;
       }
     }
-
-    if (config_.frontier != nullptr &&
-        ++schedules_since_sync_ >= config_.sync_every_schedules) {
-      schedules_since_sync_ = 0;
-      std::vector<CorpusFrontier::Entry> imports =
-          config_.frontier->ExchangeSync(config_.shard, drain_pending());
-      // Adopt imports that are novel against *this* worker's coverage
-      // (AFL -S semantics); they are not re-published — the frontier's
-      // hash dedup would drop them anyway.
-      for (CorpusFrontier::Entry& imp : imports) {
-        if (out_of_budget()) {
-          break;
-        }
-        if (RunOne(imp.program, result)) {
-          found_since_last_schedule = true;
-          const size_t packets = imp.program.PacketOpIndices(spec_).size();
-          corpus_.Add(std::move(imp.program), last_exec_vtime_, packets, vnow());
-          record_coverage();
-        }
-      }
-    }
-  }
-
-  if (config_.frontier != nullptr) {
-    config_.frontier->Leave(config_.shard, drain_pending(), global_cov_);
   }
 
   record_coverage();

@@ -94,19 +94,10 @@ struct CampaignResult {
   bool FoundCrash(uint32_t crash_id) const { return crashes.count(crash_id) != 0; }
 };
 
-class CorpusFrontier;
-
 struct FuzzerConfig {
   PolicyMode policy = PolicyMode::kNone;
   uint64_t iterations_per_schedule = kIterationsPerSchedule;
   uint64_t seed = 1;
-  // Sharded mode (harness/parallel.h): when set, the fuzzer joins the
-  // frontier's lock-step corpus exchange every `sync_every_schedules`
-  // schedule batches and folds its final coverage in on exit. The cadence
-  // is counted in schedules, not wall time, to keep runs reproducible.
-  CorpusFrontier* frontier = nullptr;
-  size_t shard = 0;
-  uint64_t sync_every_schedules = 4;
   // Let the mutator insert/mutate/delete NodeSemantic::kFault ops so
   // campaigns explore target error-handling paths ("No Peer, no Cry").
   bool fault_injection = false;
@@ -143,9 +134,6 @@ class NyxFuzzer {
   CoverageMap trace_;
   Rng rng_;
   uint64_t last_exec_vtime_ = 0;
-  // Sharded mode: entries found since the last frontier sync.
-  std::vector<size_t> pending_publish_;  // corpus indices
-  uint64_t schedules_since_sync_ = 0;
 };
 
 }  // namespace nyx

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstring>
 
+#include "src/common/check.h"
 #include "src/common/telemetry.h"
 #include "src/vm/state_registry.h"
 
@@ -33,7 +34,11 @@ constexpr uint32_t kRedzoneSize = 8;
 
 GuestContext::GuestContext(Vm& vm, NetEmu& net, CoverageMap& cov, VirtualClock& clock,
                            const CostModel& cost)
-    : vm_(vm), net_(net), cov_(cov), clock_(clock), cost_(cost) {}
+    : vm_(vm), net_(net), cov_(cov), clock_(clock), cost_(cost) {
+  NYX_CHECK(vm_.mem().num_pages() >= kMinGuestPages)
+      << "guest of " << vm_.mem().num_pages() << " pages is smaller than the fixed layout,"
+      << " which needs at least " << kMinGuestPages << " pages";
+}
 
 uint64_t GuestContext::Malloc(uint32_t size) {
   auto* meta = vm_.mem().At<HeapMeta>(kHeapBase);

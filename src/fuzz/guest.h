@@ -41,6 +41,10 @@ namespace nyx {
 inline constexpr uint64_t kStateBase = 1 * kPageSize;    // fixed target state
 inline constexpr uint64_t kHeapBase = 16 * kPageSize;    // guest heap
 inline constexpr uint64_t kScratchBase = 96 * kPageSize; // config/cache area
+// Smallest guest the layout fits: the heap's header page at kHeapBase is
+// read and written unchecked. The scratch area is optional (TouchScratch
+// skips pages past the end).
+inline constexpr uint64_t kMinGuestPages = kHeapBase / kPageSize + 1;
 
 struct CrashInfo {
   bool crashed = false;

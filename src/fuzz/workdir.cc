@@ -12,7 +12,6 @@
 
 #include "src/common/check.h"
 #include "src/common/log.h"
-#include "src/common/sync.h"
 #include "src/common/telemetry.h"
 #include "src/spec/verify.h"
 
@@ -197,13 +196,6 @@ void PopulateCampaignRegistry(telemetry::MetricRegistry& reg, const CampaignResu
   reg.RegisterCounter("faulted_bytes")->Add(result.faulted_bytes);
   // Coverage-novel programs the corpus rejected as equal to a queued entry.
   reg.RegisterCounter("corpus_dupes")->Add(result.corpus_dupes);
-  // Process-wide lock traffic (common/sync.h): how often any annotated
-  // mutex was taken and how often the taker had to block. A contended
-  // count creeping toward the acquisition count means the frontier sync
-  // cadence is too aggressive for the shard count.
-  const SyncStats locks = GetSyncStats();
-  reg.RegisterCounter("lock_acquired")->Add(locks.acquisitions);
-  reg.RegisterCounter("lock_contended")->Add(locks.contended);
 }
 
 // Renders stats.txt from the registry in a fixed display order. The literal
@@ -218,7 +210,7 @@ std::string RenderStatsText(const telemetry::MetricRegistry& reg) {
       "snapshot_reuse",     "dirty_traps",        "protect_calls",      "pinned_pages",
       "pages_restored",     "pages_captured",     "root_pages",         "contract_soft",
       "contract_hard",      "pages_audited",      "divergences",        "faults_injected",
-      "faulted_bytes",      "corpus_dupes",       "lock_acquired",      "lock_contended",
+      "faulted_bytes",      "corpus_dupes",
   };
   const std::vector<telemetry::MetricRegistry::Entry> entries = reg.Entries();
   std::ostringstream os;

@@ -31,6 +31,18 @@ const char* FuzzerKindName(FuzzerKind kind) {
   return "?";
 }
 
+std::optional<FuzzerKind> ParseFuzzer(const std::string& name) {
+  if (name == "none") return FuzzerKind::kNyxNone;
+  if (name == "balanced") return FuzzerKind::kNyxBalanced;
+  if (name == "aggressive") return FuzzerKind::kNyxAggressive;
+  if (name == "aflnet") return FuzzerKind::kAflnet;
+  if (name == "aflnet-no-state") return FuzzerKind::kAflnetNoState;
+  if (name == "aflnwe") return FuzzerKind::kAflnwe;
+  if (name == "desock") return FuzzerKind::kAflppDesock;
+  if (name == "ijon") return FuzzerKind::kIjon;
+  return std::nullopt;
+}
+
 bool IsNyxKind(FuzzerKind kind) {
   return kind == FuzzerKind::kNyxNone || kind == FuzzerKind::kNyxBalanced ||
          kind == FuzzerKind::kNyxAggressive;

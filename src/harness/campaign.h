@@ -26,6 +26,9 @@ enum class FuzzerKind {
 };
 
 const char* FuzzerKindName(FuzzerKind kind);
+// The kind a --policy name selects: none, balanced, aggressive, aflnet,
+// aflnet-no-state, aflnwe, desock or ijon. Nullopt for any other name.
+std::optional<FuzzerKind> ParseFuzzer(const std::string& name);
 bool IsNyxKind(FuzzerKind kind);
 
 // Snapshot-placement policy a Nyx fuzzer kind maps to (kNone for baselines).

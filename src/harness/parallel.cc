@@ -6,10 +6,7 @@
 #include <thread>
 
 #include "src/common/env.h"
-#include "src/common/hash.h"
 #include "src/common/sync.h"
-#include "src/fuzz/frontier.h"
-#include "src/targets/registry.h"
 
 namespace nyx {
 
@@ -83,119 +80,6 @@ std::vector<std::vector<CampaignResult>> RunCampaignGrid(
     }
   }
   return grid;
-}
-
-namespace {
-
-// Deterministic per-shard seed. Shard 0 keeps the campaign seed unchanged
-// so a 1-shard run reproduces the plain (unsharded) campaign bit-for-bit.
-uint64_t ShardSeed(uint64_t seed, size_t shard) {
-  return shard == 0 ? seed : Mix64(seed ^ (0x9e3779b97f4a7c15ull * shard));
-}
-
-void MergeCrash(CampaignResult& merged, uint32_t id, const CrashRecord& rec) {
-  CrashRecord& dst = merged.crashes[id];
-  const bool first = dst.count == 0;
-  dst.count += rec.count;
-  if (first || rec.first_seen_vsec < dst.first_seen_vsec) {
-    dst.kind = rec.kind;
-    dst.first_seen_vsec = rec.first_seen_vsec;
-    dst.reproducer = rec.reproducer;
-  }
-}
-
-}  // namespace
-
-ShardedOutcome RunShardedCampaign(const CampaignSpec& cs, size_t shards) {
-  ShardedOutcome out;
-  if (shards == 0 || !IsNyxKind(cs.fuzzer)) {
-    out.supported = false;
-    return out;
-  }
-  auto reg = FindTarget(cs.target);
-  if (!reg.has_value()) {
-    out.supported = false;
-    return out;
-  }
-  const Spec spec = reg->make_spec();
-  const std::vector<Program> seeds = reg->make_seeds(spec);
-
-  CorpusFrontier frontier(shards);
-  out.per_shard.resize(shards);
-
-  // Dedicated threads, never a bounded pool: every shard must run
-  // concurrently or the frontier's lock-step barrier deadlocks.
-  std::vector<std::thread> threads;
-  threads.reserve(shards);
-  for (size_t s = 0; s < shards; s++) {
-    threads.emplace_back([&, s] {
-      EngineConfig ecfg;
-      ecfg.vm.mem_pages = cs.vm_pages;
-      ecfg.vm.disk_sectors = 512;
-      ecfg.asan = cs.asan;
-      ecfg.seed = ShardSeed(cs.seed, s);
-
-      FuzzerConfig fcfg;
-      fcfg.policy = NyxPolicyFor(cs.fuzzer);
-      fcfg.seed = ShardSeed(cs.seed, s);
-      fcfg.fault_injection = cs.fault_injection;
-      fcfg.frontier = &frontier;
-      fcfg.shard = s;
-
-      NyxFuzzer fuzzer(ecfg, reg->factory, spec, fcfg);
-      for (const Program& p : seeds) {
-        fuzzer.AddSeed(p);
-      }
-      out.per_shard[s] = fuzzer.Run(cs.limits);
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-
-  CampaignResult& m = out.merged;
-  for (const CampaignResult& r : out.per_shard) {
-    m.execs += r.execs;
-    m.vtime_seconds = std::max(m.vtime_seconds, r.vtime_seconds);
-    // Shards run concurrently: the campaign took its slowest shard's time.
-    m.wall_seconds = std::max(m.wall_seconds, r.wall_seconds);
-    m.corpus_size += r.corpus_size;
-    m.incremental_creates += r.incremental_creates;
-    m.incremental_restores += r.incremental_restores;
-    m.root_restores += r.root_restores;
-    m.dirty_traps += r.dirty_traps;
-    m.protect_calls += r.protect_calls;
-    m.pinned_pages += r.pinned_pages;
-    m.pages_restored += r.pages_restored;
-    m.pages_captured += r.pages_captured;
-    m.root_pages += r.root_pages;
-    m.wall_capped = m.wall_capped || r.wall_capped;
-    m.contract_soft_failures += r.contract_soft_failures;
-    m.pages_audited += r.pages_audited;
-    m.audit_divergences += r.audit_divergences;
-    m.faults_injected += r.faults_injected;
-    m.faulted_bytes += r.faulted_bytes;
-    m.corpus_dupes += r.corpus_dupes;
-    m.ijon_best = std::max(m.ijon_best, r.ijon_best);
-    for (const auto& [id, rec] : r.crashes) {
-      MergeCrash(m, id, rec);
-    }
-    if (r.first_crash_vsec >= 0 &&
-        (m.first_crash_vsec < 0 || r.first_crash_vsec < m.first_crash_vsec)) {
-      m.first_crash_vsec = r.first_crash_vsec;
-    }
-    if (r.ijon_goal_vsec >= 0 &&
-        (m.ijon_goal_vsec < 0 || r.ijon_goal_vsec < m.ijon_goal_vsec)) {
-      m.ijon_goal_vsec = r.ijon_goal_vsec;
-    }
-  }
-  m.execs_per_vsecond =
-      m.vtime_seconds > 0 ? static_cast<double>(m.execs) / m.vtime_seconds : 0;
-  m.branch_coverage = frontier.merged_coverage().SiteCount();
-  m.edge_coverage = frontier.merged_coverage().EdgeCount();
-  out.frontier_generations = frontier.generations();
-  out.frontier_published = frontier.published();
-  return out;
 }
 
 }  // namespace nyx

@@ -1,16 +1,10 @@
 // Parallel campaign engine (ROADMAP: "parallel" north star).
 //
-// Two shapes of parallelism, matching how the paper's evaluation ran:
-//
-//  1. Campaign fan-out: independent (seed × configuration) campaigns spread
-//     over a worker pool — every campaign owns its Vm, RNG and virtual
-//     clock, so results are bit-identical to a serial loop regardless of
-//     NYX_JOBS. This is what RepeatCampaign and the bench drivers use.
-//
-//  2. In-process sharded fuzzing (paper section 6.2, AFL -M/-S style):
-//     N NyxFuzzer workers attack the *same* target and periodically sync
-//     corpus entries and merged coverage through a CorpusFrontier
-//     (fuzz/frontier.h).
+// Campaign fan-out: independent (seed × configuration) campaigns spread over
+// a worker pool. Every campaign owns its Vm, RNG and virtual clock and shares
+// nothing with its siblings, so results are bit-identical to a serial loop
+// regardless of NYX_JOBS. This is what RepeatCampaign and the bench drivers
+// use.
 //
 // Thread-count knob: NYX_JOBS (default: hardware concurrency). NYX_JOBS=1
 // runs everything inline on the calling thread.
@@ -46,23 +40,6 @@ std::vector<CampaignOutcome> RunCampaigns(const std::vector<CampaignSpec>& specs
 // configuration is unsupported (RepeatCampaign semantics).
 std::vector<std::vector<CampaignResult>> RunCampaignGrid(
     const std::vector<CampaignSpec>& configs, size_t runs);
-
-struct ShardedOutcome {
-  bool supported = true;
-  std::vector<CampaignResult> per_shard;
-  // Aggregate view: summed execs/crashes, frontier-merged coverage,
-  // vtime = max over shards (they fuzz concurrently).
-  CampaignResult merged;
-  uint64_t frontier_generations = 0;
-  size_t frontier_published = 0;
-};
-
-// Sharded fuzzing of one target: `shards` NyxFuzzer workers (one Vm each,
-// dedicated threads — the lock-step frontier barrier needs every shard
-// running) with deterministic per-shard seeds derived from spec.seed.
-// Only Nyx fuzzer kinds are supported. Deterministic across repeated runs
-// as long as the limits are virtual-time or exec-count bounded.
-ShardedOutcome RunShardedCampaign(const CampaignSpec& spec, size_t shards);
 
 }  // namespace nyx
 

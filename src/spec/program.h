@@ -44,8 +44,8 @@ struct Program {
   static std::optional<Program> Parse(const Bytes& wire, const Spec& spec);
 
   // Incremental FNV-1a over ops [0, end_op), allocation-free: the key of
-  // corpus dedup and of the sharded frontier's dedup. Two programs whose op
-  // sequences differ hash differently (op/arg/data lengths are folded in).
+  // corpus dedup. Two programs whose op sequences differ hash differently
+  // (op/arg/data lengths are folded in).
   uint64_t OpsHash(size_t end_op) const;
 
   // Affine type checking: every borrowed/consumed arg must reference an

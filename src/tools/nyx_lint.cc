@@ -10,9 +10,9 @@
 //                   campaigns replay deterministically.
 //   raw-sync        std::mutex / std::condition_variable / std::lock_guard /
 //                   std::unique_lock / std::scoped_lock / std::shared_mutex
-//                   outside src/common/sync.{h,cc}. All locking goes through
-//                   the capability-annotated layer so -Wthread-safety and
-//                   the lock-hierarchy analyzer see every acquisition.
+//                   outside src/common/sync.h. All locking goes through the
+//                   capability-annotated layer so -Wthread-safety sees every
+//                   acquisition.
 //   raw-time        std::chrono / time() / clock_gettime / gettimeofday in
 //                   src/ outside the harness and the two wall-clock budget
 //                   sites. Fuzzing logic runs on the virtual clock
@@ -47,8 +47,8 @@
 //                   through GuestMemory so it always knows which pages are
 //                   armed; one-off protection changes that are not dirty
 //                   tracking use nyx::RawProtect.
-//   knob-doc        every "NYX_..." literal passed to env::Flag, FlagOr,
-//                   SizeOr, DoubleOr or StringOr in src/ or bench/ is named
+//   knob-doc        every "NYX_..." literal passed to env::Flag, SizeOr,
+//                   DoubleOr or StringOr in src/ or bench/ is named
 //                   at the start of a `//   NYX_...` line of the knob list
 //                   in src/common/env.h, and every knob named there is read
 //                   by such a call. Calls that pass a variable are out of
@@ -269,7 +269,7 @@ constexpr const char* kKnobListFile = "src/common/env.h";
 // env::Flag( and a bare Flag( both count; IsFlag( or a Flag( member of
 // something else does not.
 void CollectKnobReads(const std::string& rel, size_t lineno, const std::string& code) {
-  for (const char* accessor : {"Flag(", "FlagOr(", "SizeOr(", "DoubleOr(", "StringOr("}) {
+  for (const char* accessor : {"Flag(", "SizeOr(", "DoubleOr(", "StringOr("}) {
     const std::string call(accessor);
     size_t pos = 0;
     while ((pos = code.find(call, pos)) != std::string::npos) {
@@ -332,7 +332,7 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
   // The linter itself must spell the banned tokens to ban them; env.cc is
   // the one sanctioned getenv call site.
   const bool self = rel == "src/tools/nyx_lint.cc";
-  const bool sync_impl = rel == "src/common/sync.h" || rel == "src/common/sync.cc" || self;
+  const bool sync_impl = rel == "src/common/sync.h" || self;
   const bool env_impl = rel == "src/common/env.cc" || self;
   // raw-time applies to fuzzing logic only: src/ minus the harness (which
   // owns wall-clock budgets and progress reporting) and the two documented
@@ -388,8 +388,8 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
     if (!sync_impl) {
       // std::condition_variable also catches std::condition_variable_any;
       // std::shared_mutex / std::recursive_mutex have no annotated wrapper
-      // on purpose (the lock hierarchy bans reader/writer and re-entrant
-      // locking until a use case earns them).
+      // on purpose (reader/writer and re-entrant locking stay banned until a
+      // use case earns them).
       for (const char* primitive :
            {"std::mutex", "std::condition_variable", "std::lock_guard",
             "std::unique_lock", "std::scoped_lock", "std::shared_mutex",
@@ -398,7 +398,7 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
           Report(rel, lineno, "raw-sync",
                  std::string(primitive) +
                      " is banned outside src/common/sync.h; use the annotated "
-                     "nyx::Mutex/MutexLock/CondVar layer");
+                     "nyx::Mutex/MutexLock layer");
           break;
         }
       }

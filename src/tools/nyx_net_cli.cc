@@ -6,9 +6,10 @@
 //       List the available fuzz targets and their seeded bugs.
 //   nyx-net fuzz --target NAME [--policy none|balanced|aggressive|aflnet|
 //       aflnet-no-state|aflnwe|desock|ijon] [--vtime SECONDS] [--wall SECONDS]
-//       [--seed N] [--asan] [--workdir DIR] [--resume] [--faults]
+//       [--seed N] [--vm-pages N] [--asan] [--workdir DIR] [--resume] [--faults]
 //       Run a campaign; persists queue/crashes/stats into the workdir.
 //       --faults enables deterministic fault injection (Nyx policies only).
+//       --vm-pages sizes the guest (default 1024, at least 17).
 //   nyx-net pcap --target NAME --pcap FILE [--port P]
 //       [--split crlf|len16|len32|segment] [--workdir DIR]
 //       Convert a capture into bytecode seeds (section 4.4).
@@ -20,15 +21,22 @@
 //   nyx-net verify DIR --target NAME
 //       Batch-check every .nyx file in DIR against the wire verifier and
 //       the parser. Exits nonzero if any file fails either.
-//   nyx-net mario --level 1-1 [--policy ...] [--wall SECONDS]
+//   nyx-net mario --level 1-1 [--policy ...] [--wall SECONDS] [--seed N]
 //       Solve a Super Mario level (section 5.3).
+//
+// A command exits 2 on an option it cannot use as given: an unknown policy,
+// or a number that does not parse whole (--vtime and --wall take positive
+// numbers, --seed, --vm-pages and --port unsigned integers).
 
 #include <dirent.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +52,32 @@
 namespace nyx {
 namespace {
 
+// Whole-string number parses: trailing text, a sign or an empty string is
+// an error, never a silent 0 (atof("abc") would run a 0-second campaign).
+std::optional<double> ParsePositive(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno != 0 || !std::isfinite(v) || !(v > 0)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<uint64_t> ParseUnsigned(const std::string& text) {
+  // strtoull alone would accept "-1" (as 2^64-1) and leading blanks.
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = strtoull(text.c_str(), &end, 10);
+  if (*end != '\0' || errno != 0) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 struct Args {
   std::map<std::string, std::string> values;
   bool Has(const std::string& key) const { return values.count(key) != 0; }
@@ -51,15 +85,17 @@ struct Args {
     auto it = values.find(key);
     return it == values.end() ? def : it->second;
   }
+  // Only for the options ParseArgs has checked; value() aborts on any other.
   double GetDouble(const std::string& key, double def) const {
-    return Has(key) ? atof(Get(key).c_str()) : def;
+    return Has(key) ? ParsePositive(Get(key)).value() : def;
   }
   uint64_t GetU64(const std::string& key, uint64_t def) const {
-    return Has(key) ? strtoull(Get(key).c_str(), nullptr, 10) : def;
+    return Has(key) ? ParseUnsigned(Get(key)).value() : def;
   }
 };
 
-Args ParseArgs(int argc, char** argv, int from) {
+// Nullopt, after printing why, when a numeric option does not parse.
+std::optional<Args> ParseArgs(int argc, char** argv, int from) {
   Args args;
   for (int i = from; i < argc; i++) {
     std::string key = argv[i];
@@ -73,6 +109,18 @@ Args ParseArgs(int argc, char** argv, int from) {
       args.values[key] = "1";  // boolean flag
     }
   }
+  for (const char* key : {"vtime", "wall"}) {
+    if (args.Has(key) && !ParsePositive(args.Get(key)).has_value()) {
+      fprintf(stderr, "--%s takes a positive number, not '%s'\n", key, args.Get(key).c_str());
+      return std::nullopt;
+    }
+  }
+  for (const char* key : {"seed", "vm-pages", "port"}) {
+    if (args.Has(key) && !ParseUnsigned(args.Get(key)).has_value()) {
+      fprintf(stderr, "--%s takes an unsigned integer, not '%s'\n", key, args.Get(key).c_str());
+      return std::nullopt;
+    }
+  }
   return args;
 }
 
@@ -83,17 +131,18 @@ int Usage() {
   return 2;
 }
 
-FuzzerKind ParseFuzzer(const std::string& name) {
-  if (name == "none") return FuzzerKind::kNyxNone;
-  if (name == "balanced") return FuzzerKind::kNyxBalanced;
-  if (name == "aggressive") return FuzzerKind::kNyxAggressive;
-  if (name == "aflnet") return FuzzerKind::kAflnet;
-  if (name == "aflnet-no-state") return FuzzerKind::kAflnetNoState;
-  if (name == "aflnwe") return FuzzerKind::kAflnwe;
-  if (name == "desock") return FuzzerKind::kAflppDesock;
-  if (name == "ijon") return FuzzerKind::kIjon;
-  fprintf(stderr, "unknown policy/fuzzer '%s', using balanced\n", name.c_str());
-  return FuzzerKind::kNyxBalanced;
+// The fuzzer --policy names (`def` when absent); prints the accepted names
+// and returns nullopt for any other.
+std::optional<FuzzerKind> PolicyArg(const Args& args, const char* def) {
+  const std::string name = args.Get("policy", def);
+  const std::optional<FuzzerKind> kind = ParseFuzzer(name);
+  if (!kind.has_value()) {
+    fprintf(stderr,
+            "unknown policy '%s'; expected none, balanced, aggressive, aflnet, "
+            "aflnet-no-state, aflnwe, desock or ijon\n",
+            name.c_str());
+  }
+  return kind;
 }
 
 int CmdTargets() {
@@ -121,6 +170,16 @@ int CmdFuzz(const Args& args) {
     fprintf(stderr, "unknown target '%s' (see 'nyx-net targets')\n", target.c_str());
     return 2;
   }
+  const std::optional<FuzzerKind> policy = PolicyArg(args, "balanced");
+  if (!policy.has_value()) {
+    return 2;
+  }
+  const FuzzerKind kind = *policy;
+  if (args.Has("faults") && !IsNyxKind(kind)) {
+    fprintf(stderr, "--faults needs a Nyx policy (none, balanced or aggressive), not '%s'\n",
+            args.Get("policy").c_str());
+    return 2;
+  }
   auto reg = FindTarget(target);
   const Spec spec = reg->make_spec();
 
@@ -128,13 +187,18 @@ int CmdFuzz(const Args& args) {
   engine_cfg.vm.mem_pages = args.GetU64("vm-pages", 1024);
   engine_cfg.asan = args.Has("asan");
   engine_cfg.seed = args.GetU64("seed", 1);
+  if (engine_cfg.vm.mem_pages < kMinGuestPages) {
+    fprintf(stderr,
+            "--vm-pages %zu is smaller than the guest layout, which needs at least %llu pages\n",
+            engine_cfg.vm.mem_pages, static_cast<unsigned long long>(kMinGuestPages));
+    return 2;
+  }
 
   CampaignLimits limits;
   limits.vtime_seconds = args.GetDouble("vtime", 120.0);
   limits.wall_seconds = args.GetDouble("wall", 600.0);
   limits.stop_on_crash = args.Has("stop-on-crash");
 
-  const FuzzerKind kind = ParseFuzzer(args.Get("policy", "balanced"));
   std::optional<Workdir> workdir;
   if (args.Has("workdir")) {
     workdir = Workdir::Open(args.Get("workdir"));
@@ -147,9 +211,7 @@ int CmdFuzz(const Args& args) {
   CampaignResult result;
   if (IsNyxKind(kind)) {
     FuzzerConfig fcfg;
-    fcfg.policy = kind == FuzzerKind::kNyxNone        ? PolicyMode::kNone
-                  : kind == FuzzerKind::kNyxBalanced ? PolicyMode::kBalanced
-                                                     : PolicyMode::kAggressive;
+    fcfg.policy = NyxPolicyFor(kind);
     fcfg.seed = engine_cfg.seed;
     fcfg.fault_injection = args.Has("faults");
     NyxFuzzer fuzzer(engine_cfg, reg->factory, spec, fcfg);
@@ -242,8 +304,13 @@ int CmdPcap(const Args& args) {
   if (split == "len32") strategy = SplitStrategy::kLengthPrefixBe32;
   if (split == "segment") strategy = SplitStrategy::kSegment;
 
-  const uint16_t port =
-      static_cast<uint16_t>(args.GetU64("port", reg->factory()->info().port));
+  const uint64_t port_arg = args.GetU64("port", reg->factory()->info().port);
+  if (port_arg > UINT16_MAX) {
+    fprintf(stderr, "--port %llu is out of range (0-65535)\n",
+            static_cast<unsigned long long>(port_arg));
+    return 2;
+  }
+  const uint16_t port = static_cast<uint16_t>(port_arg);
   auto program = ProgramFromPcap(spec, raw, port, strategy);
   if (!program.has_value()) {
     fprintf(stderr, "no usable client->server traffic for port %u found\n", port);
@@ -415,9 +482,12 @@ int CmdMario(const Args& args) {
     fprintf(stderr, "unknown level '%s' (1-1 .. 8-4)\n", level.c_str());
     return 2;
   }
-  const FuzzerKind kind = ParseFuzzer(args.Get("policy", "aggressive"));
-  printf("solving %s with %s...\n", level.c_str(), FuzzerKindName(kind));
-  CampaignOutcome out = RunMarioCampaign(level, kind, args.GetDouble("wall", 60.0),
+  const std::optional<FuzzerKind> kind = PolicyArg(args, "aggressive");
+  if (!kind.has_value()) {
+    return 2;
+  }
+  printf("solving %s with %s...\n", level.c_str(), FuzzerKindName(*kind));
+  CampaignOutcome out = RunMarioCampaign(level, *kind, args.GetDouble("wall", 60.0),
                                          args.GetU64("seed", 1));
   const LevelDef* lv = FindLevel(level);
   if (out.result.ijon_goal_vsec >= 0) {
@@ -439,7 +509,11 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const std::string cmd = argv[1];
-  const Args args = ParseArgs(argc, argv, 2);
+  const std::optional<Args> parsed = ParseArgs(argc, argv, 2);
+  if (!parsed.has_value()) {
+    return 2;
+  }
+  const Args& args = *parsed;
   if (cmd == "targets") {
     return CmdTargets();
   }

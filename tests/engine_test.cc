@@ -217,5 +217,20 @@ TEST_F(EngineTest, VirtualTimeChargedPerExecution) {
   EXPECT_GE(r.vtime_ns, SmallEngineConfig().cost.snapshot_restore_fixed_ns);
 }
 
+// The heap header sits at page 16, so a 16-page guest would put it past the
+// mapping; the engine must refuse such a guest instead of writing there.
+TEST(EngineDeathTest, GuestSmallerThanLayoutDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EngineConfig cfg = SmallEngineConfig();
+        cfg.vm.mem_pages = 16;
+        const Spec spec = Spec::GenericNetwork();
+        NyxEngine engine(cfg, MakeLightFtp, spec);
+        engine.Boot();
+      },
+      "needs at least 17 pages");
+}
+
 }  // namespace
 }  // namespace nyx

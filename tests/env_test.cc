@@ -1,6 +1,5 @@
 // Tests for the centralized environment accessors (src/common/env.h): the
-// typed parsing rules every knob shares, and the both-ways override
-// semantics of FlagOr that NYX_LOCK_DEBUG depends on.
+// typed parsing rules every knob shares.
 
 #include <gtest/gtest.h>
 
@@ -43,24 +42,6 @@ TEST(EnvTest, FlagSemantics) {
   {
     ScopedEnv e(kVar, "yes");
     EXPECT_TRUE(env::Flag(kVar));
-  }
-}
-
-TEST(EnvTest, FlagOrOverridesBothWays) {
-  unsetenv(kVar);
-  EXPECT_TRUE(env::FlagOr(kVar, true));
-  EXPECT_FALSE(env::FlagOr(kVar, false));
-  {
-    ScopedEnv e(kVar, "0");
-    EXPECT_FALSE(env::FlagOr(kVar, true));  // explicit off beats default on
-  }
-  {
-    ScopedEnv e(kVar, "1");
-    EXPECT_TRUE(env::FlagOr(kVar, false));  // explicit on beats default off
-  }
-  {
-    ScopedEnv e(kVar, "");
-    EXPECT_TRUE(env::FlagOr(kVar, true));  // empty falls back to default
   }
 }
 
@@ -132,10 +113,6 @@ TEST(EnvTest, NamedAccessorsReadTheirKnobs) {
   {
     ScopedEnv e("NYX_WALL", "12");
     EXPECT_DOUBLE_EQ(env::Wall(5.0), 12.0);
-  }
-  {
-    ScopedEnv e("NYX_LOCK_DEBUG", "0");
-    EXPECT_FALSE(env::LockDebug(true));
   }
   {
     ScopedEnv e("NYX_AUDIT", "1");

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "src/harness/campaign.h"
 #include "src/harness/table.h"
@@ -41,6 +42,24 @@ TEST(CampaignTest, FuzzerKindNames) {
   EXPECT_STREQ(FuzzerKindName(FuzzerKind::kNyxAggressive), "Nyx-Net-aggressive");
   EXPECT_TRUE(IsNyxKind(FuzzerKind::kNyxNone));
   EXPECT_FALSE(IsNyxKind(FuzzerKind::kIjon));
+}
+
+TEST(CampaignTest, ParseFuzzerAcceptsEveryPolicyName) {
+  const std::pair<const char*, FuzzerKind> kNames[] = {
+      {"none", FuzzerKind::kNyxNone},
+      {"balanced", FuzzerKind::kNyxBalanced},
+      {"aggressive", FuzzerKind::kNyxAggressive},
+      {"aflnet", FuzzerKind::kAflnet},
+      {"aflnet-no-state", FuzzerKind::kAflnetNoState},
+      {"aflnwe", FuzzerKind::kAflnwe},
+      {"desock", FuzzerKind::kAflppDesock},
+      {"ijon", FuzzerKind::kIjon},
+  };
+  for (const auto& [name, kind] : kNames) {
+    EXPECT_EQ(ParseFuzzer(name), kind) << name;
+  }
+  // A misspelling selects nothing rather than a default.
+  EXPECT_EQ(ParseFuzzer("balancd"), std::nullopt);
 }
 
 TEST(CampaignTest, UnknownTargetUnsupported) {

@@ -1,17 +1,12 @@
-// Tests for the capability-annotated sync layer (src/common/sync.h):
-// mutual exclusion, condvar signaling, acquisition/contention stats, the
-// ThreadChecker affinity guard, and the runtime lock-hierarchy analyzer —
-// a deliberate rank inversion, an acquired-after graph cycle, a recursive
-// acquisition and an unheld release must all die with both stacks printed.
+// Tests for the capability-annotated sync layer (src/common/sync.h): mutual
+// exclusion and the ThreadChecker affinity guard.
 //
-// The static half of the layer is exercised by the CI clang job: the whole
-// tree builds with -Wthread-safety -Werror=thread-safety, and this file
-// doubles as the negative-compile proof (see the #ifdef block below).
+// The static analysis is exercised by the CI clang job: the whole tree
+// builds with -Wthread-safety -Werror=thread-safety, and this file doubles
+// as the negative-compile proof (see the #ifdef block below).
 
 #include "src/common/sync.h"
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -27,27 +22,14 @@ namespace {
 // compiles this file with -DNYX_SYNC_TEST_NEGATIVE_COMPILE and asserts the
 // compiler FAILS; the block is never part of a normal build.
 struct NegativeCompileGuarded {
-  Mutex mu{"test.negative_compile", LockRank::kAny};
+  Mutex mu;
   int value NYX_GUARDED_BY(mu) = 0;
 };
 int UnannotatedAccess(NegativeCompileGuarded& g) { return g.value; }
 #endif
 
-// Restores the analyzer toggle so a test cannot leak its setting into the
-// rest of the binary (the default depends on NDEBUG and NYX_LOCK_DEBUG).
-class ScopedLockDebug {
- public:
-  explicit ScopedLockDebug(bool enabled) : was_(LockDebugEnabled()) {
-    internal::SetLockDebugForTest(enabled);
-  }
-  ~ScopedLockDebug() { internal::SetLockDebugForTest(was_); }
-
- private:
-  const bool was_;
-};
-
 struct GuardedCounter {
-  Mutex mu{"test.counter", LockRank::kAny};
+  Mutex mu;
   uint64_t value NYX_GUARDED_BY(mu) = 0;
 };
 
@@ -69,63 +51,6 @@ TEST(MutexTest, MutualExclusionAcrossThreads) {
   EXPECT_EQ(c.value, 100000u);
 }
 
-TEST(MutexTest, StatsCountAcquisitions) {
-  ResetSyncStats();
-  Mutex mu("test.stats");
-  { MutexLock lock(mu); }
-  { MutexLock lock(mu); }
-  { MutexLock lock(mu); }
-  // Other machinery (the log mutex) may add to the totals, never subtract.
-  EXPECT_GE(GetSyncStats().acquisitions, 3u);
-}
-
-TEST(MutexTest, StatsCountContention) {
-  Mutex mu("test.contention");
-  const uint64_t before = GetSyncStats().contended;
-  // A blocked acquisition is only near-certain per attempt (the waiter
-  // could be descheduled before its try_lock), so retry until observed.
-  for (int attempt = 0; attempt < 100 && GetSyncStats().contended == before;
-       attempt++) {
-    mu.Lock();
-    std::atomic<bool> started{false};
-    std::thread waiter([&] {
-      started.store(true);
-      MutexLock lock(mu);
-    });
-    while (!started.load()) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    mu.Unlock();
-    waiter.join();
-  }
-  EXPECT_GT(GetSyncStats().contended, before);
-}
-
-TEST(CondVarTest, SignalsAcrossThreads) {
-  Mutex mu("test.condvar");
-  CondVar cv;
-  int stage = 0;
-  std::thread peer([&] {
-    MutexLock lock(mu);
-    stage = 1;
-    cv.NotifyAll();
-    while (stage != 2) {
-      cv.Wait(mu);
-    }
-  });
-  {
-    MutexLock lock(mu);
-    while (stage != 1) {
-      cv.Wait(mu);
-    }
-    stage = 2;
-    cv.NotifyAll();
-  }
-  peer.join();
-  MutexLock lock(mu);
-  EXPECT_EQ(stage, 2);
-}
-
 TEST(ThreadCheckerTest, AttachesToFirstCallerAndDetaches) {
   ThreadChecker checker;
   EXPECT_TRUE(checker.CalledOnValidThread());
@@ -142,137 +67,6 @@ TEST(ThreadCheckerTest, AttachesToFirstCallerAndDetaches) {
   EXPECT_TRUE(from_other);
   // Ownership moved: the original thread no longer qualifies.
   EXPECT_FALSE(checker.CalledOnValidThread());
-}
-
-TEST(LockHierarchyTest, CorrectRankOrderSurvives) {
-  ScopedLockDebug debug(true);
-  Mutex low("test.ordered_low", LockRank::kFrontier);
-  Mutex high("test.ordered_high", LockRank::kLog);
-  for (int i = 0; i < 3; i++) {
-    MutexLock a(low);
-    MutexLock b(high);
-  }
-}
-
-TEST(LockHierarchyTest, RepeatedConsistentOrderSurvivesGraphCheck) {
-  ScopedLockDebug debug(true);
-  Mutex a("test.graph_ok_a");
-  Mutex b("test.graph_ok_b");
-  Mutex c("test.graph_ok_c");
-  for (int i = 0; i < 3; i++) {
-    MutexLock la(a);
-    MutexLock lb(b);
-    MutexLock lc(c);
-  }
-  {
-    // a -> c directly is consistent with a -> b -> c: no cycle.
-    MutexLock la(a);
-    MutexLock lc(c);
-  }
-}
-
-// The analyzer's own checks are statically invisible (ranks are runtime
-// state), but a recursive acquisition and an unheld release are exactly
-// what -Wthread-safety would reject at compile time — hide the deliberate
-// misuse from the analysis so the *runtime* analyzer gets to catch it.
-void RecursiveAcquire(Mutex& mu) NYX_NO_THREAD_SAFETY_ANALYSIS {
-  MutexLock lock(mu);
-  mu.Lock();
-}
-
-void UnheldRelease(Mutex& mu) NYX_NO_THREAD_SAFETY_ANALYSIS { mu.Unlock(); }
-
-using LockHierarchyDeathTest = ::testing::Test;
-
-TEST(LockHierarchyDeathTest, RankInversionDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        internal::SetLockDebugForTest(true);
-        Mutex low("test.inversion_low", LockRank::kFrontier);
-        Mutex high("test.inversion_high", LockRank::kLog);
-        MutexLock a(high);
-        MutexLock b(low);  // rank 10 under rank 100: inversion
-      },
-      "rank inversion");
-}
-
-TEST(LockHierarchyDeathTest, SameRankNestingDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        internal::SetLockDebugForTest(true);
-        Mutex one("test.samerank_one", LockRank::kFrontier);
-        Mutex two("test.samerank_two", LockRank::kFrontier);
-        MutexLock a(one);
-        MutexLock b(two);
-      },
-      "rank inversion");
-}
-
-TEST(LockHierarchyDeathTest, AcquiredAfterCycleDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        internal::SetLockDebugForTest(true);
-        Mutex a("test.cycle_a");
-        Mutex b("test.cycle_b");
-        {
-          MutexLock la(a);
-          MutexLock lb(b);  // records a -> b
-        }
-        {
-          MutexLock lb(b);
-          MutexLock la(a);  // b -> a closes the cycle
-        }
-      },
-      "acquired-after cycle");
-}
-
-TEST(LockHierarchyDeathTest, TransitiveCycleDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        internal::SetLockDebugForTest(true);
-        Mutex a("test.tcycle_a");
-        Mutex b("test.tcycle_b");
-        Mutex c("test.tcycle_c");
-        {
-          MutexLock la(a);
-          MutexLock lb(b);  // a -> b
-        }
-        {
-          MutexLock lb(b);
-          MutexLock lc(c);  // b -> c
-        }
-        {
-          MutexLock lc(c);
-          MutexLock la(a);  // c -> a: cycle through b
-        }
-      },
-      "acquired-after cycle");
-}
-
-TEST(LockHierarchyDeathTest, RecursiveAcquisitionDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        internal::SetLockDebugForTest(true);
-        Mutex mu("test.recursive");
-        RecursiveAcquire(mu);
-      },
-      "recursive acquisition");
-}
-
-TEST(LockHierarchyDeathTest, UnheldReleaseDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        internal::SetLockDebugForTest(true);
-        Mutex mu("test.unheld");
-        UnheldRelease(mu);
-      },
-      "does not hold");
 }
 
 }  // namespace
