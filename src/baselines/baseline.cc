@@ -105,7 +105,7 @@ ExecResult BaselineFuzzer::RunOneExec(const Program& input, CoverageMap& cov) {
   if (restart) {
     execs_since_restart_ = 0;
     vm_->RestoreRoot();
-    net_.Deserialize(boot_net_state_);
+    net_.Restore(boot_net_state_);
     clock_.Advance(cost.process_spawn_ns + target_info_.startup_ns);
     if (config_.kind == BaselineKind::kAflnet || config_.kind == BaselineKind::kAflnetNoState ||
         config_.kind == BaselineKind::kAflnwe) {
@@ -262,7 +262,7 @@ CampaignResult BaselineFuzzer::Run(const CampaignLimits& limits) {
     ctx.ReseedRng(engine_config_.seed);
     target_->Init(ctx);
     GuardedStep(*target_, ctx);
-    boot_net_state_ = net_.Serialize();
+    boot_net_state_ = net_.state();
     vm_->TakeRootSnapshot();
   }
 

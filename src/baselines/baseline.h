@@ -79,7 +79,7 @@ class BaselineFuzzer {
   NetEmu net_;
   std::unique_ptr<Target> target_;
   TargetInfo target_info_;
-  Bytes boot_net_state_;
+  NetEmu::State boot_net_state_;
   bool supported_ = true;
 
   Corpus corpus_;

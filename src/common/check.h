@@ -16,7 +16,7 @@
 //     CLI) so corrupted inputs show up in every run summary.
 //
 // Streaming extra context is supported on the fatal macros:
-//   NYX_CHECK(off <= size) << "snapshot aux blob truncated at " << off;
+//   NYX_CHECK(off <= size) << "device state truncated at " << off;
 
 #ifndef SRC_COMMON_CHECK_H_
 #define SRC_COMMON_CHECK_H_

@@ -52,7 +52,7 @@ namespace telemetry {
 enum class Phase : uint8_t {
   kMutate = 0,      // mutator: deriving the next input
   kVerify,          // bytecode verifier at trust boundaries
-  kSnapshotRestore, // root/incremental restore incl. devices + aux blob
+  kSnapshotRestore, // root/incremental restore incl. devices + host state
   kDirtyReset,      // dirty-page copy loops + tracker re-arm (inside restore)
   kNetemu,          // emulated network: connection setup, packet delivery
   kGuestRun,        // target code running until it blocks on input
@@ -249,9 +249,9 @@ class ScopedPhase {
   bool armed_ = false;
 };
 
-// Depth of the calling thread's open-phase stack. The engine registers
-// "telemetry.phase_timers" as per-exec ephemeral with this ==0 as the idle
-// invariant: no phase scope may straddle an execution boundary.
+// Depth of the calling thread's open-phase stack. The audited engine checks
+// it is 0 between executions ("telemetry.phase_timers" ephemeral): no phase
+// scope may straddle an execution boundary.
 size_t PhaseDepth();
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "src/fuzz/audit.h"
 
+#include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/vm/page.h"
 
@@ -26,8 +27,25 @@ void DivergenceAuditor::Note(std::vector<Divergence>& out, std::string source,
   log_.push_back(std::move(d));
 }
 
+void DivergenceAuditor::AddGuestRegion(std::string name, uint64_t base, uint64_t size) {
+  for (const GuestRegion& r : regions_) {
+    NYX_CHECK(base + size <= r.base || r.base + r.size <= base)
+        << "guest region '" << name << "' overlaps '" << r.name << "'";
+  }
+  regions_.push_back(GuestRegion{std::move(name), base, size});
+}
+
+const std::string& DivergenceAuditor::GuestOwner(uint64_t offset) const {
+  for (const GuestRegion& r : regions_) {
+    if (offset >= r.base && offset < r.base + r.size) {
+      return r.name;
+    }
+  }
+  static const std::string kNone = kUnregistered;
+  return kNone;
+}
+
 void DivergenceAuditor::CompareState(const StateFingerprint& a, const StateFingerprint& b,
-                                     const SnapshotStateRegistry& registry,
                                      std::vector<Divergence>& out) {
   // Guest memory: the page-granular walk IS the bisection — every diverging
   // page is attributed to the guest region that owns it.
@@ -37,7 +55,7 @@ void DivergenceAuditor::CompareState(const StateFingerprint& a, const StateFinge
   pages_counter_->Add(pages);
   for (size_t p = 0; p < pages; p++) {
     if (a.page_hashes[p] != b.page_hashes[p]) {
-      Note(out, "guest-page", registry.GuestOwner(p * kPageSize), p);
+      Note(out, "guest-page", GuestOwner(p * kPageSize), p);
     }
   }
 
@@ -51,34 +69,22 @@ void DivergenceAuditor::CompareState(const StateFingerprint& a, const StateFinge
     Note(out, "disk", "vm.block_device");
   }
 
-  // Registered host state, by entry name. An entry present on one side only
-  // means the registration set itself changed mid-run — report it as the
-  // entry's own divergence.
-  size_t i = 0, j = 0;
-  while (i < a.host_hashes.size() || j < b.host_hashes.size()) {
-    if (i < a.host_hashes.size() && j < b.host_hashes.size() &&
-        a.host_hashes[i].first == b.host_hashes[j].first) {
-      if (a.host_hashes[i].second != b.host_hashes[j].second) {
-        Note(out, "host-state", a.host_hashes[i].first);
-      }
-      i++;
-      j++;
-    } else {
-      Note(out, "host-state",
-           i < a.host_hashes.size() ? a.host_hashes[i].first : b.host_hashes[j].first);
-      break;
-    }
+  // Host state, compared by value in its two parts.
+  if (a.net != b.net) {
+    Note(out, "host-state", "netemu.socket_table");
+  }
+  if (a.interp != b.interp) {
+    Note(out, "host-state", "engine.interp");
   }
 }
 
 std::vector<DivergenceAuditor::Divergence> DivergenceAuditor::CompareReplay(
-    const StateFingerprint& a, const StateFingerprint& b,
-    const SnapshotStateRegistry& registry) {
+    const StateFingerprint& a, const StateFingerprint& b) {
   stats_.programs_audited++;
   programs_counter_->Add(1);
   comparing_ = "replay";
   std::vector<Divergence> out;
-  CompareState(a, b, registry, out);
+  CompareState(a, b, out);
 
   // Every exec reseeds from the campaign seed, so a replay's per-exec RNG
   // end state must match too. Cross-restore runs draw a different number of
@@ -89,47 +95,49 @@ std::vector<DivergenceAuditor::Divergence> DivergenceAuditor::CompareReplay(
   }
 
   // Identical path + identical start state: coverage and observable results
-  // must match exactly. A mismatch here with all registered state equal is
-  // the signature of host state the registry never heard of.
+  // must match exactly. A mismatch here with all compared state equal is
+  // the signature of host state no restore brings back.
   const bool state_clean = out.empty();
   if (a.edge_hash != b.edge_hash || a.sites != b.sites) {
-    Note(out, "coverage", state_clean ? SnapshotStateRegistry::kUnregistered : "see-state");
+    Note(out, "coverage", state_clean ? kUnregistered : "see-state");
   }
   if (a.crashed != b.crashed || a.crash_id != b.crash_id ||
       a.packets_delivered != b.packets_delivered || a.ijon_max != b.ijon_max) {
-    Note(out, "result", state_clean ? SnapshotStateRegistry::kUnregistered : "see-state");
+    Note(out, "result", state_clean ? kUnregistered : "see-state");
   }
   return out;
 }
 
-void DivergenceAuditor::ReportEphemeralFailures(const std::vector<std::string>& failed) {
+void DivergenceAuditor::CheckEphemerals(bool fault_guard_idle, bool phases_closed) {
   comparing_ = "ephemeral";
   std::vector<Divergence> scratch;
-  for (const std::string& name : failed) {
-    Note(scratch, "ephemeral", name);
+  if (!fault_guard_idle) {
+    Note(scratch, "ephemeral", "guest.fault_jmp");
+  }
+  if (!phases_closed) {
+    Note(scratch, "ephemeral", "telemetry.phase_timers");
   }
 }
 
 std::vector<DivergenceAuditor::Divergence> DivergenceAuditor::CompareCrossRestore(
-    const StateFingerprint& full, const StateFingerprint& resumed,
-    const SnapshotStateRegistry& registry) {
+    const StateFingerprint& full, const StateFingerprint& resumed) {
   stats_.cross_audits++;
   comparing_ = "cross-restore";
   std::vector<Divergence> out;
-  CompareState(full, resumed, registry, out);
+  CompareState(full, resumed, out);
 
   // The resumed run skipped the prefix, so totals differ; but it must not
   // reach a site the full run never reached, and must end the same way.
   if (full.sites.size() == resumed.sites.size()) {
     for (size_t b = 0; b < resumed.sites.size(); b++) {
       if ((resumed.sites[b] & ~full.sites[b]) != 0) {
-        Note(out, "coverage", SnapshotStateRegistry::kUnregistered);
+        Note(out, "coverage", kUnregistered);
         break;
       }
     }
   }
   if (full.crashed != resumed.crashed || full.crash_id != resumed.crash_id) {
-    Note(out, "result", out.empty() ? SnapshotStateRegistry::kUnregistered : "see-state");
+    Note(out, "result", out.empty() ? kUnregistered : "see-state");
   }
   return out;
 }

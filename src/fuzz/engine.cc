@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/common/check.h"
 #include "src/common/hash.h"
 #include "src/common/telemetry.h"
 
@@ -20,74 +19,6 @@ NyxEngine::NyxEngine(const EngineConfig& config, TargetFactory factory, const Sp
   if (config_.audit) {
     auditor_ = std::make_unique<DivergenceAuditor>();
   }
-
-  // Snapshot-state inventory (DESIGN.md §10): every piece of host-side state
-  // that a restore must bring back is registered here, and the snapshot aux
-  // blob is assembled from these hooks — state outside the registry cannot
-  // ride along even by accident.
-  SnapshotStateRegistry::HostState netemu_state;
-  netemu_state.name = "netemu.socket_table";
-  netemu_state.owner = "src/netemu/netemu.cc";
-  netemu_state.capture = [this] { return net_.Serialize(); };
-  netemu_state.restore = [this](const Bytes& blob) { return net_.Deserialize(blob); };
-  state_registry_.RegisterHostState(std::move(netemu_state));
-
-  SnapshotStateRegistry::HostState interp_state;
-  interp_state.name = "engine.interp";
-  interp_state.owner = "src/fuzz/engine.cc";
-  interp_state.capture = [this] {
-    Bytes out;
-    PutLe32(out, static_cast<uint32_t>(value_conns_.size()));
-    for (int c : value_conns_) {
-      PutLe32(out, static_cast<uint32_t>(c));
-    }
-    PutLe32(out, resume_op_);
-    PutLe32(out, static_cast<uint32_t>(connection_ops_seen_));
-    return out;
-  };
-  interp_state.restore = [this](const Bytes& blob) {
-    size_t off = 0;
-    const uint32_t nvals = ReadLe32(blob, off);
-    off += 4;
-    if (blob.size() != 4 + 4ull * nvals + 8) {
-      return false;
-    }
-    value_conns_.clear();
-    for (uint32_t i = 0; i < nvals; i++) {
-      value_conns_.push_back(static_cast<int>(ReadLe32(blob, off)));
-      off += 4;
-    }
-    resume_op_ = ReadLe32(blob, off);
-    off += 4;
-    connection_ops_seen_ = ReadLe32(blob, off);
-    return true;
-  };
-  state_registry_.RegisterHostState(std::move(interp_state));
-
-  // Per-exec ephemerals: never snapshotted, asserted back to their idle
-  // state between executions where an invariant exists.
-  state_registry_.DeclareEphemeral("engine.exec_rng", "src/fuzz/engine.cc");
-  state_registry_.DeclareEphemeral("guest.fault_jmp", "src/fuzz/guest.cc",
-                                   [] { return FaultGuardIdle(); });
-  state_registry_.DeclareEphemeral("coverage.trace_map", "src/fuzz/coverage.h");
-  // Telemetry is observational host state: phase timers never feed back
-  // into execution, so they are per-exec ephemeral, not snapshot state. The
-  // verify hook pins the invariant that makes this sound — no phase scope
-  // may straddle an execution boundary (a frame left open would attribute
-  // one exec's time to another).
-  state_registry_.DeclareEphemeral("telemetry.phase_timers", "src/common/telemetry.cc",
-                                   [] { return telemetry::PhaseDepth() == 0; });
-}
-
-Bytes NyxEngine::SerializeInterpState(uint32_t resume_op) {
-  resume_op_ = resume_op;
-  return state_registry_.CaptureAll();
-}
-
-void NyxEngine::RestoreInterpState(const Bytes& aux) {
-  // Aux blobs are engine-produced; a mismatch means corruption. Fail hard
-  // rather than restoring partial state.
-  NYX_CHECK(state_registry_.RestoreAll(aux)) << "corrupt snapshot aux blob";
 }
 
 void NyxEngine::Boot() {
@@ -101,34 +32,35 @@ void NyxEngine::Boot() {
   // Name the guest-physical layout so the divergence auditor can attribute
   // a diverging page to its owner (guest.h layout + the target's declared
   // state-struct size).
-  const uint64_t mem_bytes = vm_->mem().size_bytes();
-  state_registry_.RegisterGuestRegion("guest.reserved", 0, kStateBase);
-  const uint64_t state_window = kHeapBase - kStateBase;
-  const uint64_t state_bytes =
-      target_info_.state_bytes > 0 && target_info_.state_bytes < state_window
-          ? target_info_.state_bytes
-          : state_window;
-  state_registry_.RegisterGuestRegion("target." + target_info_.name + ".state", kStateBase,
-                                      state_bytes);
-  if (state_bytes < state_window) {
-    state_registry_.RegisterGuestRegion("guest.state_slack", kStateBase + state_bytes,
-                                        state_window - state_bytes);
-  }
-  if (mem_bytes > kHeapBase) {
-    const uint64_t heap_end = mem_bytes < kScratchBase ? mem_bytes : kScratchBase;
-    state_registry_.RegisterGuestRegion("guest.heap", kHeapBase, heap_end - kHeapBase);
-  }
-  if (mem_bytes > kScratchBase) {
-    state_registry_.RegisterGuestRegion("guest.scratch", kScratchBase,
-                                        mem_bytes - kScratchBase);
+  if (auditor_ != nullptr) {
+    const uint64_t mem_bytes = vm_->mem().size_bytes();
+    auditor_->AddGuestRegion("guest.reserved", 0, kStateBase);
+    const uint64_t state_window = kHeapBase - kStateBase;
+    const uint64_t state_bytes =
+        target_info_.state_bytes > 0 && target_info_.state_bytes < state_window
+            ? target_info_.state_bytes
+            : state_window;
+    auditor_->AddGuestRegion("target." + target_info_.name + ".state", kStateBase,
+                             state_bytes);
+    if (state_bytes < state_window) {
+      auditor_->AddGuestRegion("guest.state_slack", kStateBase + state_bytes,
+                               state_window - state_bytes);
+    }
+    if (mem_bytes > kHeapBase) {
+      const uint64_t heap_end = mem_bytes < kScratchBase ? mem_bytes : kScratchBase;
+      auditor_->AddGuestRegion("guest.heap", kHeapBase, heap_end - kHeapBase);
+    }
+    if (mem_bytes > kScratchBase) {
+      auditor_->AddGuestRegion("guest.scratch", kScratchBase, mem_bytes - kScratchBase);
+    }
   }
 
-  // The target is now parked on Accept/Recv/Poll over the attack surface:
-  // the automatic root snapshot point, "after starting the process and
-  // directly before the first byte of input data is passed to the target".
-  value_conns_.clear();
-  connection_ops_seen_ = 0;
-  vm_->TakeRootSnapshot(SerializeInterpState(0));
+  // The target is now parked on Accept/Recv over the attack surface: the
+  // automatic root snapshot point, "after starting the process and directly
+  // before the first byte of input data is passed to the target".
+  interp_ = InterpState{};
+  vm_->TakeRootSnapshot();
+  root_ = HostSnapshot{net_.state(), interp_, 0};
   booted_ = true;
 }
 
@@ -137,12 +69,13 @@ int NyxEngine::ResolveConn(const Op& op) const {
     return -1;
   }
   const uint16_t value_id = op.args[0];
-  if (value_id < value_conns_.size()) {
-    return value_conns_[value_id];
+  const std::vector<int>& conns = interp_.value_conns;
+  if (value_id < conns.size()) {
+    return conns[value_id];
   }
   // Dangling reference (the mutator repairs most, but stay defensive): fall
   // back to the most recent connection.
-  return value_conns_.empty() ? -1 : value_conns_.back();
+  return conns.empty() ? -1 : conns.back();
 }
 
 ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
@@ -159,8 +92,8 @@ ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
     // Everything past the primary execution is audit overhead:
     // fingerprinting, the replay (whose inner phases nest here and keep
     // their own self-time), and the cross-restore check. The scope closes
-    // before CheckEphemeral below — that check runs the telemetry
-    // phase-depth verify hook, which must observe depth zero.
+    // before the ephemeral check below, which must observe phase depth
+    // zero.
     telemetry::ScopedPhase phase(telemetry::Phase::kAudit);
     const StateFingerprint fp_a = CaptureFingerprint(cov, result_a);
 
@@ -175,7 +108,7 @@ ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
     CoverageMap audit_cov;
     ExecResult result_b = RunInternal(input, audit_cov);
     const StateFingerprint fp_b = CaptureFingerprint(audit_cov, result_b);
-    auditor_->CompareReplay(fp_a, fp_b, state_registry_);
+    auditor_->CompareReplay(fp_a, fp_b);
 
     // Cross-restore check: if the replay recreated the incremental
     // snapshot, a third execution takes the restore-and-resume shortcut
@@ -186,11 +119,12 @@ ExecResult NyxEngine::Run(const Program& input, CoverageMap& cov) {
       ExecResult result_c = RunInternal(input, audit_cov);
       if (result_c.used_incremental) {
         const StateFingerprint fp_c = CaptureFingerprint(audit_cov, result_c);
-        auditor_->CompareCrossRestore(fp_b, fp_c, state_registry_);
+        auditor_->CompareCrossRestore(fp_b, fp_c);
       }
     }
   }
-  auditor_->ReportEphemeralFailures(state_registry_.CheckEphemeral());
+  // Per-exec ephemerals must be idle between executions.
+  auditor_->CheckEphemerals(FaultGuardIdle(), telemetry::PhaseDepth() == 0);
   return result_a;
 }
 
@@ -208,12 +142,14 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
                         std::equal(link_.begin(), link_.end(), input.ops.begin());
     if (resume) {
       vm_->RestoreIncremental();
-      RestoreInterpState(vm_->current_aux());
-      start_op = resume_op_;
+      net_.Restore(inc_.net);
+      interp_ = inc_.interp;
+      start_op = inc_.resume_op;
       result.used_incremental = true;
     } else {
       vm_->RestoreRoot();
-      RestoreInterpState(vm_->current_aux());
+      net_.Restore(root_.net);
+      interp_ = root_.interp;
       start_op = 0;
       link_.clear();
     }
@@ -234,7 +170,8 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
         continue;
       }
       telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotRestore);
-      vm_->CreateIncremental(SerializeInterpState(static_cast<uint32_t>(i + 1)));
+      vm_->CreateIncremental();
+      inc_ = HostSnapshot{net_.state(), interp_, static_cast<uint32_t>(i + 1)};
       // The link ends with the marker op itself, so a later match implies
       // the candidate input also carries the marker at this position and
       // resuming at i+1 skips exactly the executed prefix.
@@ -250,16 +187,16 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
         int conn = -1;
         if (target_info_.is_client) {
           const auto& clients = net_.ClientConnections();
-          if (connection_ops_seen_ < clients.size()) {
-            conn = clients[connection_ops_seen_];
+          if (interp_.connection_ops_seen < clients.size()) {
+            conn = clients[interp_.connection_ops_seen];
           }
         } else if (target_info_.transport == SockKind::kDgram) {
           conn = net_.FindDgramSocket(target_info_.port);
         } else {
           conn = net_.QueueConnection(target_info_.port);
         }
-        connection_ops_seen_++;
-        value_conns_.push_back(conn);
+        interp_.connection_ops_seen++;
+        interp_.value_conns.push_back(conn);
         GuardedStep(*target_, ctx);
         break;
       }
@@ -321,7 +258,8 @@ StateFingerprint NyxEngine::CaptureFingerprint(const CoverageMap& cov,
                                   Fnv1a64(dev.regs(d).data(), dev.regs(d).size()));
   }
   fp.disk_hash = Fnv1a64(vm_->disk().SectorPtr(0), vm_->disk().size_bytes());
-  fp.host_hashes = SnapshotStateRegistry::EntryHashes(state_registry_.CaptureAll());
+  fp.net = net_.state();
+  fp.interp = interp_;
   fp.rng_hash = last_exec_rng_hash_;
   fp.edge_hash = Fnv1a64(cov.map().data(), cov.map().size());
   fp.sites.assign(cov.sites_hit().begin(), cov.sites_hit().end());
@@ -339,7 +277,7 @@ void NyxEngine::DropIncremental() {
 
 std::vector<Bytes> NyxEngine::LastResponses() const {
   std::vector<Bytes> out;
-  for (int conn : value_conns_) {
+  for (int conn : interp_.value_conns) {
     if (net_.ValidConn(conn)) {
       for (const Bytes& b : net_.Sent(conn)) {
         out.push_back(b);

@@ -8,10 +8,9 @@
 //   * ops are interpreted in order: connection ops queue connections,
 //     packet ops deliver one packet and let the target run until it blocks,
 //     close ops signal peer EOF;
-//   * the snapshot marker op triggers creation of the incremental snapshot
-//     (with the interpreter + netemu state riding along in the snapshot's
-//     aux blob), and the engine keeps a copy of the input's ops up to and
-//     including the marker;
+//   * the snapshot marker op triggers creation of the incremental snapshot,
+//     and the engine keeps a copy of the interpreter + netemu state beside
+//     it, and a copy of the input's ops up to and including the marker;
 //   * if the next input starts with exactly those ops, the engine restores
 //     the incremental snapshot and resumes at the op after the marker —
 //     only the suffix runs again.
@@ -34,7 +33,6 @@
 #include "src/netemu/netemu.h"
 #include "src/spec/program.h"
 #include "src/spec/spec.h"
-#include "src/vm/state_registry.h"
 #include "src/vm/vm.h"
 
 namespace nyx {
@@ -85,19 +83,22 @@ class NyxEngine {
   // machines and for tests).
   std::vector<Bytes> LastResponses() const;
 
-  // Snapshot-state inventory: every piece of host-side state that must
-  // survive a restore is registered here; the snapshot aux blob is built
-  // from it (DESIGN.md §10).
-  SnapshotStateRegistry& state_registry() { return state_registry_; }
   // Null unless EngineConfig.audit (NYX_AUDIT=1).
   DivergenceAuditor* auditor() { return auditor_.get(); }
 
  private:
   ExecResult RunInternal(const Program& input, CoverageMap& cov);
   StateFingerprint CaptureFingerprint(const CoverageMap& cov, const ExecResult& result);
-  Bytes SerializeInterpState(uint32_t resume_op);
-  void RestoreInterpState(const Bytes& aux);
   int ResolveConn(const Op& op) const;
+
+  // Host state that is logically part of the guest, copied beside each VM
+  // snapshot and assigned back right after the VM restores it (DESIGN.md
+  // §10). A restore assigns the whole struct, so nothing can be left out.
+  struct HostSnapshot {
+    NetEmu::State net;
+    InterpState interp;
+    uint32_t resume_op = 0;  // incremental only: the op after the marker
+  };
 
   EngineConfig config_;
   const Spec& spec_;
@@ -107,14 +108,12 @@ class NyxEngine {
   std::unique_ptr<Target> target_;
   TargetInfo target_info_;
   bool booted_ = false;
-  SnapshotStateRegistry state_registry_;
   std::unique_ptr<DivergenceAuditor> auditor_;
   uint64_t last_exec_rng_hash_ = 0;
 
-  // Interpreter state (snapshot-managed via aux blobs).
-  std::vector<int> value_conns_;  // value id -> connection handle
-  uint32_t resume_op_ = 0;
-  size_t connection_ops_seen_ = 0;
+  InterpState interp_;
+  HostSnapshot root_;  // taken at Boot, beside the VM's root snapshot
+  HostSnapshot inc_;   // taken at the marker, beside the incremental
 
   // The incremental snapshot's resume point: a copy of the ops it was
   // captured after, the marker op last. An input resumes from it only when

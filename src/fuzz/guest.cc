@@ -8,7 +8,6 @@
 
 #include "src/common/check.h"
 #include "src/common/telemetry.h"
-#include "src/vm/state_registry.h"
 
 namespace nyx {
 
@@ -132,8 +131,8 @@ namespace {
 // own Step() calls, and SIGSEGV is delivered on the faulting thread, so
 // thread_local state routes every fault back to the guard that armed it.
 // The flag is sig_atomic_t because it is read from the SIGSEGV handler.
-// Re-armed around every Step, never captured by a snapshot; FaultGuardIdle
-// is the registry's verify hook for the invariant.
+// Re-armed around every Step, never captured by a snapshot; the audited
+// engine checks FaultGuardIdle between executions.
 NYX_EXEC_EPHEMERAL("guest.fault_jmp");
 thread_local sigjmp_buf t_step_jmp;
 NYX_EXEC_EPHEMERAL("guest.fault_armed");

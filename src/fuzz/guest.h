@@ -45,6 +45,10 @@ inline constexpr uint64_t kScratchBase = 96 * kPageSize; // config/cache area
 // read and written unchecked. The scratch area is optional (TouchScratch
 // skips pages past the end).
 inline constexpr uint64_t kMinGuestPages = kHeapBase / kPageSize + 1;
+// Largest guest: 4 GiB, the largest guest in the paper's Fig. 6. Guest page
+// numbers are uint32_t (DirtyTracker), and the VM zero-fills host arrays of
+// about 15 bytes per guest page at construction.
+inline constexpr uint64_t kMaxGuestPages = uint64_t{1} << 20;
 
 struct CrashInfo {
   bool crashed = false;
@@ -165,10 +169,10 @@ struct TargetInfo {
   // Client targets Connect() out instead of accepting.
   bool is_client = false;
   // Size of the target's fixed state struct at kStateBase (sizeof(State)).
-  // The engine registers it as a named guest region in the
-  // SnapshotStateRegistry so the divergence auditor can attribute a
-  // diverging page to this target's state rather than "somewhere in RAM".
-  // 0 = undeclared; the whole state window is attributed to the target.
+  // The engine names it as a guest region for the divergence auditor, so a
+  // diverging page is attributed to this target's state rather than
+  // "somewhere in RAM". 0 = undeclared; the whole state window is
+  // attributed to the target.
   size_t state_bytes = 0;
 };
 
@@ -201,9 +205,9 @@ inline constexpr uint32_t kCrashWildSegv = 0x5e97f417;
 bool GuardedStep(Target& target, GuestContext& ctx);
 
 // True when the calling thread's fault guard is disarmed — the invariant
-// the SnapshotStateRegistry's "guest.fault_jmp" ephemeral declaration
-// asserts between executions (the guard must never leak an armed jump
-// buffer across an exec boundary).
+// the audited engine checks between executions (the guard must never leak
+// an armed jump buffer across an exec boundary; a failure is reported as
+// the "guest.fault_jmp" ephemeral).
 bool FaultGuardIdle();
 
 }  // namespace nyx

@@ -21,8 +21,8 @@ NetEmu::NetEmu(Config config)
     fault_counters_[k] = telemetry::MetricRegistry::Global().RegisterCounter(
         std::string("netemu.faults_injected.") + FaultKindName(static_cast<FaultKind>(k)));
   }
-  sockets_.reserve(config_.max_sockets);
-  fds_.reserve(config_.max_fds);
+  state_.sockets.reserve(config_.max_sockets);
+  state_.fds.reserve(config_.max_fds);
 }
 
 std::optional<FaultPlan> NetEmu::TakeFault(Sock& s, std::initializer_list<FaultKind> kinds) {
@@ -71,57 +71,56 @@ void NetEmu::ResetSock(Sock& s) {
 }
 
 int NetEmu::AllocSocket() {
-  for (size_t i = 0; i < sockets_.size(); i++) {
-    if (!sockets_[i].live) {
-      sockets_[i] = Sock{};
-      sockets_[i].live = true;
+  for (size_t i = 0; i < state_.sockets.size(); i++) {
+    if (!state_.sockets[i].live) {
+      state_.sockets[i] = Sock{};
+      state_.sockets[i].live = true;
       return static_cast<int>(i);
     }
   }
-  if (sockets_.size() >= config_.max_sockets) {
+  if (state_.sockets.size() >= config_.max_sockets) {
     return -1;
   }
-  sockets_.push_back(Sock{});
-  sockets_.back().live = true;
-  return static_cast<int>(sockets_.size() - 1);
+  state_.sockets.push_back(Sock{});
+  state_.sockets.back().live = true;
+  return static_cast<int>(state_.sockets.size() - 1);
 }
 
 int NetEmu::AllocFd(int sock) {
   NYX_DCHECK_GE(sock, 0);
-  NYX_DCHECK_LT(static_cast<size_t>(sock), sockets_.size());
-  for (size_t i = 0; i < fds_.size(); i++) {
-    if (!fds_[i].open) {
-      fds_[i] = FdEntry{sock, current_process_, true};
-      sockets_[sock].refcount++;
+  NYX_DCHECK_LT(static_cast<size_t>(sock), state_.sockets.size());
+  for (size_t i = 0; i < state_.fds.size(); i++) {
+    if (!state_.fds[i].open) {
+      state_.fds[i] = FdEntry{sock, state_.current_process, true};
+      state_.sockets[sock].refcount++;
       return static_cast<int>(i);
     }
   }
-  if (fds_.size() >= config_.max_fds) {
+  if (state_.fds.size() >= config_.max_fds) {
     return kErrMfile;
   }
-  fds_.push_back(FdEntry{sock, current_process_, true});
-  sockets_[sock].refcount++;
-  return static_cast<int>(fds_.size() - 1);
+  state_.fds.push_back(FdEntry{sock, state_.current_process, true});
+  state_.sockets[sock].refcount++;
+  return static_cast<int>(state_.fds.size() - 1);
 }
 
 NetEmu::Sock* NetEmu::SockForFd(int fd) {
-  if (fd < 0 || fd >= static_cast<int>(fds_.size()) || !fds_[fd].open) {
+  if (fd < 0 || fd >= static_cast<int>(state_.fds.size()) || !state_.fds[fd].open) {
     return nullptr;
   }
-  return &sockets_[fds_[fd].sock];
+  return &state_.sockets[state_.fds[fd].sock];
 }
 
 void NetEmu::DropSocketRef(int sock) {
   NYX_DCHECK_GE(sock, 0);
-  NYX_DCHECK_LT(static_cast<size_t>(sock), sockets_.size());
-  Sock& s = sockets_[sock];
+  NYX_DCHECK_LT(static_cast<size_t>(sock), state_.sockets.size());
+  Sock& s = state_.sockets[sock];
   NYX_DCHECK_GT(s.refcount, 0);
   if (--s.refcount <= 0) {
     s.live = false;
     s.rx.clear();
     s.tx.clear();
     s.pending_accept.clear();
-    s.epoll_watch.clear();
     s.faults.clear();
   }
 }
@@ -132,10 +131,10 @@ int NetEmu::Socket(SockKind kind) {
   if (sock < 0) {
     return kErrMfile;
   }
-  sockets_[sock].kind = kind;
+  state_.sockets[sock].kind = kind;
   const int fd = AllocFd(sock);
   if (fd < 0) {
-    sockets_[sock].live = false;
+    state_.sockets[sock].live = false;
   }
   return fd;
 }
@@ -183,13 +182,13 @@ int NetEmu::Accept(int fd) {
   }
   // The connection at the head of the backlog may carry a fault: the peer
   // can abort (RST while queued) or the accept itself can be interrupted.
-  if (auto f = TakeFault(sockets_[s->pending_accept.front()],
+  if (auto f = TakeFault(state_.sockets[s->pending_accept.front()],
                          {FaultKind::kConnReset, FaultKind::kIntr, FaultKind::kEagain})) {
     switch (f->kind) {
       case FaultKind::kConnReset: {
         const int aborted = s->pending_accept.front();
         s->pending_accept.pop_front();
-        ResetSock(sockets_[aborted]);
+        ResetSock(state_.sockets[aborted]);
         DropSocketRef(aborted);
         return kErrConnReset;
       }
@@ -210,7 +209,7 @@ int NetEmu::Accept(int fd) {
   const int conn_fd = AllocFd(conn);
   if (conn_fd >= 0) {
     // The backlog's reference is transferred to the new fd.
-    sockets_[conn].refcount--;
+    state_.sockets[conn].refcount--;
   } else {
     DropSocketRef(conn);
   }
@@ -243,7 +242,7 @@ int NetEmu::Connect(int fd, uint16_t port) {
   }
   s->port = port;
   s->attack_surface = true;
-  client_conns_.push_back(fds_[fd].sock);
+  state_.client_conns.push_back(state_.fds[fd].sock);
   return 0;
 }
 
@@ -288,7 +287,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
     }
   }
   if (s->rx.empty()) {
-    if (s->peer_closed || s->shut_down) {
+    if (s->peer_closed) {
       return 0;  // orderly EOF
     }
     if (s->attack_surface) {
@@ -298,7 +297,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
   }
   blocked_on_input_ = false;
   if (s->attack_surface) {
-    consumed_input_ = true;
+    state_.consumed_input = true;
   }
 
   size_t out = 0;
@@ -359,11 +358,11 @@ int NetEmu::Send(int fd, const void* data, size_t len) {
   if (s->kind == SockKind::kListener) {
     return kErrInval;
   }
-  // Error-path consistency (matching a real kernel): writing after our own
-  // shutdown or after the connection was reset is EPIPE — the reset itself
-  // was reported exactly once as ECONNRESET. Writing after a plain peer FIN
-  // (peer_closed) still succeeds: TCP lets the first post-FIN send through.
-  if (s->shut_down || s->reset) {
+  // Error-path consistency (matching a real kernel): writing after the
+  // connection was reset is EPIPE — the reset itself was reported exactly
+  // once as ECONNRESET. Writing after a plain peer FIN (peer_closed) still
+  // succeeds: TCP lets the first post-FIN send through.
+  if (s->reset) {
     return kErrPipe;
   }
   if (auto f = TakeFault(*s, {FaultKind::kShortWrite, FaultKind::kEagain, FaultKind::kIntr,
@@ -392,207 +391,30 @@ int NetEmu::Send(int fd, const void* data, size_t len) {
 
 int NetEmu::Close(int fd) {
   Charge();
-  if (fd < 0 || fd >= static_cast<int>(fds_.size()) || !fds_[fd].open) {
+  if (fd < 0 || fd >= static_cast<int>(state_.fds.size()) || !state_.fds[fd].open) {
     return kErrBadf;
   }
-  const int sock = fds_[fd].sock;
-  fds_[fd].open = false;
+  const int sock = state_.fds[fd].sock;
+  state_.fds[fd].open = false;
   DropSocketRef(sock);
   return 0;
 }
 
-int NetEmu::Shutdown(int fd) {
-  Charge();
-  Sock* s = SockForFd(fd);
-  if (s == nullptr) {
-    return kErrBadf;
-  }
-  s->shut_down = true;
-  return 0;
-}
-
-int NetEmu::Dup(int fd) {
-  Charge();
-  Sock* s = SockForFd(fd);
-  if (s == nullptr) {
-    return kErrBadf;
-  }
-  return AllocFd(fds_[fd].sock);
-}
-
-int NetEmu::Dup2(int oldfd, int newfd) {
-  Charge();
-  Sock* s = SockForFd(oldfd);
-  if (s == nullptr || newfd < 0 || newfd >= static_cast<int>(config_.max_fds)) {
-    return kErrBadf;
-  }
-  if (newfd == oldfd) {
-    return newfd;
-  }
-  if (newfd >= static_cast<int>(fds_.size())) {
-    fds_.resize(newfd + 1);
-  }
-  if (fds_[newfd].open) {
-    DropSocketRef(fds_[newfd].sock);
-  }
-  fds_[newfd] = FdEntry{fds_[oldfd].sock, current_process_, true};
-  sockets_[fds_[oldfd].sock].refcount++;
-  return newfd;
-}
-
-bool NetEmu::Readable(const Sock& s) const {
-  if (s.listening) {
-    return !s.pending_accept.empty();
-  }
-  return !s.rx.empty() || s.peer_closed || s.shut_down;
-}
-
-int NetEmu::Poll(std::vector<PollRequest>& reqs) {
-  Charge();
-  int ready = 0;
-  bool any_attack_surface = false;
-  for (PollRequest& r : reqs) {
-    r.readable = false;
-    r.writable = false;
-  }
-  // A queued timeout fault expires the whole poll: nothing reports ready
-  // even if data is queued, and the virtual clock jumps by the plan's arg
-  // milliseconds. Not a real blocking point, so blocked_on_input_ is not
-  // set. First matching fd in request order wins, deterministically.
-  for (PollRequest& r : reqs) {
-    Sock* s = SockForFd(r.fd);
-    if (s == nullptr) {
-      continue;
-    }
-    if (auto f = TakeFault(*s, {FaultKind::kTimeout})) {
-      if (clock_ != nullptr) {
-        clock_->Advance(static_cast<uint64_t>(f->arg) * 1000000ull);
-      }
-      return 0;
-    }
-  }
-  for (PollRequest& r : reqs) {
-    Sock* s = SockForFd(r.fd);
-    if (s == nullptr) {
-      continue;
-    }
-    if (s->attack_surface || s->listening) {
-      any_attack_surface = true;
-    }
-    if (r.want_read && Readable(*s)) {
-      r.readable = true;
-    }
-    if (r.want_write && !s->listening) {
-      r.writable = true;
-    }
-    if (r.readable || r.writable) {
-      ready++;
-    }
-  }
-  if (ready == 0 && any_attack_surface) {
-    blocked_on_input_ = true;
-  }
-  return ready;
-}
-
-int NetEmu::EpollCreate() {
-  Charge();
-  const int sock = AllocSocket();
-  if (sock < 0) {
-    return kErrMfile;
-  }
-  sockets_[sock].epoll_instance = true;
-  const int fd = AllocFd(sock);
-  if (fd < 0) {
-    sockets_[sock].live = false;
-  }
-  return fd;
-}
-
-int NetEmu::EpollCtlAdd(int epfd, int fd, bool want_read) {
-  Charge();
-  Sock* ep = SockForFd(epfd);
-  if (ep == nullptr || !ep->epoll_instance || SockForFd(fd) == nullptr) {
-    return kErrBadf;
-  }
-  for (auto& [watched, unused] : ep->epoll_watch) {
-    if (watched == fd) {
-      return kErrInval;  // EEXIST, close enough
-    }
-  }
-  ep->epoll_watch.emplace_back(fd, want_read);
-  return 0;
-}
-
-int NetEmu::EpollCtlDel(int epfd, int fd) {
-  Charge();
-  Sock* ep = SockForFd(epfd);
-  if (ep == nullptr || !ep->epoll_instance) {
-    return kErrBadf;
-  }
-  for (auto it = ep->epoll_watch.begin(); it != ep->epoll_watch.end(); ++it) {
-    if (it->first == fd) {
-      ep->epoll_watch.erase(it);
-      return 0;
-    }
-  }
-  return kErrBadf;
-}
-
-int NetEmu::EpollWait(int epfd, std::vector<int>& ready_fds) {
-  Charge();
-  ready_fds.clear();
-  Sock* ep = SockForFd(epfd);
-  if (ep == nullptr || !ep->epoll_instance) {
-    return kErrBadf;
-  }
-  // Same timeout-fault semantics as Poll().
-  for (const auto& [fd, want_read] : ep->epoll_watch) {
-    Sock* s = SockForFd(fd);
-    if (s == nullptr) {
-      continue;
-    }
-    if (auto f = TakeFault(*s, {FaultKind::kTimeout})) {
-      if (clock_ != nullptr) {
-        clock_->Advance(static_cast<uint64_t>(f->arg) * 1000000ull);
-      }
-      return 0;
-    }
-  }
-  bool any_attack_surface = false;
-  for (const auto& [fd, want_read] : ep->epoll_watch) {
-    Sock* s = SockForFd(fd);
-    if (s == nullptr) {
-      continue;
-    }
-    if (s->attack_surface || s->listening) {
-      any_attack_surface = true;
-    }
-    if (want_read && Readable(*s)) {
-      ready_fds.push_back(fd);
-    }
-  }
-  if (ready_fds.empty() && any_attack_surface) {
-    blocked_on_input_ = true;
-  }
-  return static_cast<int>(ready_fds.size());
-}
-
 int NetEmu::ForkFdTable() {
   Charge();
-  const int child = next_process_++;
-  const size_t n = fds_.size();
+  const int child = state_.next_process++;
+  const size_t n = state_.fds.size();
   for (size_t i = 0; i < n; i++) {
-    if (fds_[i].open && fds_[i].process == current_process_) {
-      fds_.push_back(FdEntry{fds_[i].sock, child, true});
-      sockets_[fds_[i].sock].refcount++;
+    if (state_.fds[i].open && state_.fds[i].process == state_.current_process) {
+      state_.fds.push_back(FdEntry{state_.fds[i].sock, child, true});
+      state_.sockets[state_.fds[i].sock].refcount++;
     }
   }
   return child;
 }
 
 void NetEmu::ExitProcess(int process) {
-  for (auto& fd : fds_) {
+  for (auto& fd : state_.fds) {
     if (fd.open && fd.process == process) {
       fd.open = false;
       DropSocketRef(fd.sock);
@@ -604,9 +426,9 @@ int NetEmu::QueueConnection(uint16_t port) {
   telemetry::ScopedPhase phase(telemetry::Phase::kNetemu);
   // Find the listener (first listening socket, matching port if given).
   int listener = -1;
-  for (size_t i = 0; i < sockets_.size(); i++) {
-    if (sockets_[i].live && sockets_[i].listening &&
-        (port == 0 || sockets_[i].port == port)) {
+  for (size_t i = 0; i < state_.sockets.size(); i++) {
+    if (state_.sockets[i].live && state_.sockets[i].listening &&
+        (port == 0 || state_.sockets[i].port == port)) {
       listener = static_cast<int>(i);
       break;
     }
@@ -618,21 +440,21 @@ int NetEmu::QueueConnection(uint16_t port) {
   if (conn < 0) {
     return -1;
   }
-  sockets_[conn].kind = SockKind::kStream;
-  sockets_[conn].attack_surface = true;
-  sockets_[conn].port = sockets_[listener].port;
+  state_.sockets[conn].kind = SockKind::kStream;
+  state_.sockets[conn].attack_surface = true;
+  state_.sockets[conn].port = state_.sockets[listener].port;
   // The connection is owned by its fd once accepted; keep it alive while it
   // sits in the backlog.
-  sockets_[conn].refcount = 1;
-  sockets_[listener].pending_accept.push_back(conn);
+  state_.sockets[conn].refcount = 1;
+  state_.sockets[listener].pending_accept.push_back(conn);
   conns_queued_counter_->Add(1);
   return conn;
 }
 
 int NetEmu::FindDgramSocket(uint16_t port) const {
-  for (size_t i = 0; i < sockets_.size(); i++) {
-    if (sockets_[i].live && sockets_[i].kind == SockKind::kDgram &&
-        (port == 0 || sockets_[i].port == port)) {
+  for (size_t i = 0; i < state_.sockets.size(); i++) {
+    if (state_.sockets[i].live && state_.sockets[i].kind == SockKind::kDgram &&
+        (port == 0 || state_.sockets[i].port == port)) {
       return static_cast<int>(i);
     }
   }
@@ -648,14 +470,14 @@ bool NetEmu::DeliverPacket(int conn, Bytes data) {
   }
   packets_counter_->Add(1);
   bytes_counter_->Add(data.size());
-  if (sockets_[conn].reset) {
+  if (state_.sockets[conn].reset) {
     // A reset connection drops deliveries on the floor, like a kernel
     // discarding segments for a dead socket. The bytes count as delivered
     // (the fuzzer spent them) and as faulted (the target never saw them).
     faulted_bytes_ += data.size();
     return true;
   }
-  sockets_[conn].rx.push_back(std::move(data));
+  state_.sockets[conn].rx.push_back(std::move(data));
   return true;
 }
 
@@ -664,14 +486,14 @@ bool NetEmu::QueueFault(int conn, const FaultPlan& plan) {
   if (!NYX_EXPECT(ValidConn(conn)) || !plan.Valid()) {
     return false;
   }
-  sockets_[conn].faults.push_back(FaultEntry{plan, plan.count});
+  state_.sockets[conn].faults.push_back(FaultEntry{plan, plan.count});
   return true;
 }
 
 void NetEmu::PeerClose(int conn) {
   telemetry::ScopedPhase phase(telemetry::Phase::kNetemu);
   if (NYX_EXPECT(ValidConn(conn))) {
-    sockets_[conn].peer_closed = true;
+    state_.sockets[conn].peer_closed = true;
   }
 }
 
@@ -680,12 +502,12 @@ const std::vector<Bytes>& NetEmu::Sent(int conn) const {
   if (!ValidConn(conn)) {
     return kEmpty;
   }
-  return sockets_[conn].tx;
+  return state_.sockets[conn].tx;
 }
 
 size_t NetEmu::UndeliveredBytes() const {
   size_t n = 0;
-  for (const Sock& s : sockets_) {
+  for (const Sock& s : state_.sockets) {
     if (!s.live || !s.attack_surface) {
       continue;
     }
@@ -704,17 +526,15 @@ size_t NetEmu::UndeliveredBytes() const {
 
 Bytes NetEmu::Serialize() const {
   Bytes out;
-  PutLe32(out, 0x4e455432);  // "NET2": v1 plus per-sock reset flag + fault queue
-  PutLe32(out, static_cast<uint32_t>(sockets_.size()));
-  for (const Sock& s : sockets_) {
+  PutLe32(out, 0x4e455433);  // "NET3"
+  PutLe32(out, static_cast<uint32_t>(state_.sockets.size()));
+  for (const Sock& s : state_.sockets) {
     out.push_back(s.live ? 1 : 0);
     out.push_back(static_cast<uint8_t>(s.kind));
     PutLe16(out, s.port);
     out.push_back(s.listening ? 1 : 0);
     out.push_back(s.attack_surface ? 1 : 0);
     out.push_back(s.peer_closed ? 1 : 0);
-    out.push_back(s.shut_down ? 1 : 0);
-    out.push_back(s.epoll_instance ? 1 : 0);
     PutLe32(out, static_cast<uint32_t>(s.refcount));
     PutLe64(out, s.rx_front_consumed);
     PutLe32(out, static_cast<uint32_t>(s.rx.size()));
@@ -731,14 +551,9 @@ Bytes NetEmu::Serialize() const {
       PutLe32(out, static_cast<uint32_t>(pkt.size()));
       Append(out, pkt);
     }
-    PutLe32(out, static_cast<uint32_t>(s.epoll_watch.size()));
-    for (const auto& [fd, want_read] : s.epoll_watch) {
-      PutLe32(out, static_cast<uint32_t>(fd));
-      out.push_back(want_read ? 1 : 0);
-    }
     out.push_back(s.reset ? 1 : 0);
-    // Fault queues are snapshot-relevant: a restore mid-burst must replay
-    // the remaining applications bit-identically (NYX_AUDIT relies on it).
+    // Fault queues are part of State: a restore mid-burst must replay the
+    // remaining applications bit-identically.
     PutLe32(out, static_cast<uint32_t>(s.faults.size()));
     for (const FaultEntry& e : s.faults) {
       out.push_back(static_cast<uint8_t>(e.plan.kind));
@@ -746,19 +561,19 @@ Bytes NetEmu::Serialize() const {
       PutLe16(out, e.plan.arg);
     }
   }
-  PutLe32(out, static_cast<uint32_t>(fds_.size()));
-  for (const FdEntry& fd : fds_) {
+  PutLe32(out, static_cast<uint32_t>(state_.fds.size()));
+  for (const FdEntry& fd : state_.fds) {
     PutLe32(out, static_cast<uint32_t>(fd.sock));
     PutLe32(out, static_cast<uint32_t>(fd.process));
     out.push_back(fd.open ? 1 : 0);
   }
-  PutLe32(out, static_cast<uint32_t>(client_conns_.size()));
-  for (int c : client_conns_) {
+  PutLe32(out, static_cast<uint32_t>(state_.client_conns.size()));
+  for (int c : state_.client_conns) {
     PutLe32(out, static_cast<uint32_t>(c));
   }
-  PutLe32(out, static_cast<uint32_t>(current_process_));
-  PutLe32(out, static_cast<uint32_t>(next_process_));
-  out.push_back(consumed_input_ ? 1 : 0);
+  PutLe32(out, static_cast<uint32_t>(state_.current_process));
+  PutLe32(out, static_cast<uint32_t>(state_.next_process));
+  out.push_back(state_.consumed_input ? 1 : 0);
   return out;
 }
 
@@ -789,23 +604,21 @@ bool NetEmu::Deserialize(const Bytes& blob) {
     return b;
   };
 
-  if (u32() != 0x4e455432) {
+  if (u32() != 0x4e455433) {
     return false;
   }
   const uint32_t nsock = u32();
   if (nsock > config_.max_sockets) {
     return false;
   }
-  sockets_.assign(nsock, Sock{});
-  for (Sock& s : sockets_) {
+  state_.sockets.assign(nsock, Sock{});
+  for (Sock& s : state_.sockets) {
     s.live = u8() != 0;
     s.kind = static_cast<SockKind>(u8());
     s.port = u16();
     s.listening = u8() != 0;
     s.attack_surface = u8() != 0;
     s.peer_closed = u8() != 0;
-    s.shut_down = u8() != 0;
-    s.epoll_instance = u8() != 0;
     s.refcount = static_cast<int>(u32());
     s.rx_front_consumed = u64();
     const uint32_t nrx = u32();
@@ -821,12 +634,6 @@ bool NetEmu::Deserialize(const Bytes& blob) {
     for (uint32_t i = 0; i < ntx && off <= blob.size(); i++) {
       const uint32_t len = u32();
       s.tx.push_back(bytes(len));
-    }
-    const uint32_t nwatch = u32();
-    for (uint32_t i = 0; i < nwatch; i++) {
-      const int fd = static_cast<int>(u32());
-      const bool want_read = u8() != 0;
-      s.epoll_watch.emplace_back(fd, want_read);
     }
     s.reset = u8() != 0;
     const uint32_t nfault = u32();
@@ -848,20 +655,20 @@ bool NetEmu::Deserialize(const Bytes& blob) {
   if (nfds > config_.max_fds) {
     return false;
   }
-  fds_.assign(nfds, FdEntry{});
-  for (FdEntry& fd : fds_) {
+  state_.fds.assign(nfds, FdEntry{});
+  for (FdEntry& fd : state_.fds) {
     fd.sock = static_cast<int>(u32());
     fd.process = static_cast<int>(u32());
     fd.open = u8() != 0;
   }
-  client_conns_.clear();
+  state_.client_conns.clear();
   const uint32_t nclient = u32();
   for (uint32_t i = 0; i < nclient; i++) {
-    client_conns_.push_back(static_cast<int>(u32()));
+    state_.client_conns.push_back(static_cast<int>(u32()));
   }
-  current_process_ = static_cast<int>(u32());
-  next_process_ = static_cast<int>(u32());
-  consumed_input_ = u8() != 0;
+  state_.current_process = static_cast<int>(u32());
+  state_.next_process = static_cast<int>(u32());
+  state_.consumed_input = u8() != 0;
   blocked_on_input_ = false;
   return off <= blob.size();
 }

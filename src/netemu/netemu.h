@@ -11,8 +11,9 @@
 //
 // This class is the emulated-kernel side of those hooks. Targets call the
 // libc-shaped methods below; the fuzzer-facing methods queue connections and
-// packets. All state is serializable so it snapshots together with the VM:
-// a restore brings back fd tables, queues and stream positions exactly.
+// packets. Everything a restore must bring back is one copyable State: the
+// engine keeps a copy beside each VM snapshot and assigns it back, so fd
+// tables, queues and stream positions return exactly.
 
 #ifndef SRC_NETEMU_NETEMU_H_
 #define SRC_NETEMU_NETEMU_H_
@@ -35,14 +36,6 @@ enum class SockKind : uint8_t {
   kListener,
   kStream,  // TCP / Unix stream: packet-chunked byte stream
   kDgram,   // UDP: datagram boundaries are semantic
-};
-
-struct PollRequest {
-  int fd = -1;
-  bool want_read = false;
-  bool want_write = false;
-  bool readable = false;
-  bool writable = false;
 };
 
 class NetEmu {
@@ -79,18 +72,6 @@ class NetEmu {
   int Recv(int fd, void* buf, size_t len);
   int Send(int fd, const void* data, size_t len);
   int Close(int fd);
-  int Shutdown(int fd);
-  int Dup(int fd);
-  int Dup2(int oldfd, int newfd);
-  // Simplified poll(): fills readable/writable; returns number of ready fds
-  // (0 = would block).
-  int Poll(std::vector<PollRequest>& reqs);
-  // Minimal epoll emulation.
-  int EpollCreate();
-  int EpollCtlAdd(int epfd, int fd, bool want_read);
-  int EpollCtlDel(int epfd, int fd);
-  // Returns ready fds; 0 = would block.
-  int EpollWait(int epfd, std::vector<int>& ready_fds);
   // fork() support: duplicates the fd table for a child process id. Sockets
   // are shared (refcounted), so packet consumption stays synchronized across
   // processes — "forking network servers will usually inherit a recently
@@ -99,8 +80,8 @@ class NetEmu {
   // Closes every fd owned by `process`.
   void ExitProcess(int process);
   // Switches which process's fd table the libc-shaped calls use.
-  void SetCurrentProcess(int process) { current_process_ = process; }
-  int current_process() const { return current_process_; }
+  void SetCurrentProcess(int process) { state_.current_process = process; }
+  int current_process() const { return state_.current_process; }
 
   // ---- Fuzzer-facing API (driven by the bytecode interpreter) ----
 
@@ -125,14 +106,14 @@ class NetEmu {
   // Everything the target sent on this connection, packet boundaries as sent.
   const std::vector<Bytes>& Sent(int conn) const;
   // Connection handles created by the target via Connect().
-  const std::vector<int>& ClientConnections() const { return client_conns_; }
+  const std::vector<int>& ClientConnections() const { return state_.client_conns; }
 
-  // True when the last blocking call (Accept/Recv/Poll/EpollWait) blocked
-  // waiting for attack-surface input — the auto-placement point for the root
-  // snapshot ("directly before the first byte of input data is passed").
+  // True when the last blocking call (Accept/Recv) blocked waiting for
+  // attack-surface input — the auto-placement point for the root snapshot
+  // ("directly before the first byte of input data is passed").
   bool blocked_on_input() const { return blocked_on_input_; }
   // True once the target has consumed at least one attacker-controlled byte.
-  bool consumed_input() const { return consumed_input_; }
+  bool consumed_input() const { return state_.consumed_input; }
 
   // Bytes of fuzz input still queued but never read by the target.
   size_t UndeliveredBytes() const;
@@ -145,21 +126,14 @@ class NetEmu {
   uint64_t faults_injected() const { return faults_injected_; }
 
   // ---- Snapshot support ----
-  Bytes Serialize() const;
-  bool Deserialize(const Bytes& blob);
 
-  // ---- Introspection ----
-  uint64_t calls() const { return calls_; }
-  bool ValidConn(int conn) const {
-    return conn >= 0 && conn < static_cast<int>(sockets_.size()) && sockets_[conn].live;
-  }
-
- private:
   // One queued fault application: the plan plus how many calls it still
-  // fires on (burst countdown). Snapshot-relevant, so it serializes.
+  // fires on (burst countdown). Part of State, so a restore mid-burst
+  // replays the remaining applications exactly.
   struct FaultEntry {
     FaultPlan plan;
     uint8_t remaining = 0;
+    bool operator==(const FaultEntry&) const = default;
   };
 
   struct Sock {
@@ -169,28 +143,61 @@ class NetEmu {
     bool listening = false;
     bool attack_surface = false;
     bool peer_closed = false;
-    bool shut_down = false;
     bool reset = false;             // killed by a kConnReset fault
     int refcount = 0;
     std::deque<Bytes> rx;           // queued packets, boundaries preserved
     size_t rx_front_consumed = 0;   // partial read offset into rx.front()
     std::deque<int> pending_accept; // queued connection socket indices
     std::vector<Bytes> tx;
-    bool epoll_instance = false;
-    std::vector<std::pair<int, bool>> epoll_watch;  // (fd, want_read)
     std::deque<FaultEntry> faults;  // FIFO fault queue (see QueueFault)
+    bool operator==(const Sock&) const = default;
   };
 
   struct FdEntry {
-    int sock = -1;       // index into sockets_
+    int sock = -1;       // index into sockets
     int process = -1;    // owning process id
     bool open = false;
+    bool operator==(const FdEntry&) const = default;
   };
 
+  // Everything a snapshot restore brings back. Counters (calls(),
+  // faults_injected(), faulted_bytes()), config and clock stay outside, so
+  // a restore never rewinds them.
+  struct State {
+    std::vector<Sock> sockets;
+    std::vector<FdEntry> fds;
+    std::vector<int> client_conns;
+    int current_process = 0;
+    int next_process = 1;
+    bool consumed_input = false;
+    bool operator==(const State&) const = default;
+  };
+
+  const State& state() const { return state_; }
+  // Assigns `state` back and clears blocked_on_input(): a restored target
+  // has not blocked yet.
+  void Restore(const State& state) {
+    state_ = state;
+    blocked_on_input_ = false;
+  }
+
+  // A byte codec of State. Nothing on an exec path uses it; the wall-clock
+  // benchmark's codec probe (bench/wallclock) still times it and checks
+  // that it round-trips.
+  Bytes Serialize() const;
+  bool Deserialize(const Bytes& blob);
+
+  // ---- Introspection ----
+  uint64_t calls() const { return calls_; }
+  bool ValidConn(int conn) const {
+    return conn >= 0 && conn < static_cast<int>(state_.sockets.size()) &&
+           state_.sockets[conn].live;
+  }
+
+ private:
   int AllocSocket();
   int AllocFd(int sock);
   Sock* SockForFd(int fd);
-  bool Readable(const Sock& s) const;
   void DropSocketRef(int sock);
   // If the front of the socket's fault queue matches one of `kinds`,
   // consumes one application (pops one-shot kinds whole) and returns the
@@ -207,15 +214,10 @@ class NetEmu {
   }
 
   Config config_;
-  std::vector<Sock> sockets_;
-  std::vector<FdEntry> fds_;
-  std::vector<int> client_conns_;
-  int current_process_ = 0;
-  int next_process_ = 1;
+  State state_;
   bool blocked_on_input_ = false;
-  bool consumed_input_ = false;
   uint64_t calls_ = 0;
-  // Observational (like calls_): deliberately NOT serialized, so audit
+  // Observational (like calls_): deliberately outside State, so audit
   // fingerprints stay identical across replays that re-apply the faults.
   uint64_t faults_injected_ = 0;
   uint64_t faulted_bytes_ = 0;

@@ -29,7 +29,7 @@ enum class FaultKind : uint8_t {
   kIntr,        // Recv/Send/Accept fail with kErrIntr
   kConnReset,   // connection dies: kErrConnReset once, then EOF / kErrPipe
   kPeerClose,   // peer FIN mid-message: queued data stays readable, then EOF
-  kTimeout,     // Recv/Poll/EpollWait/Connect expire with kErrTimedOut
+  kTimeout,     // Recv/Connect expire with kErrTimedOut
 };
 
 inline constexpr size_t kFaultKindCount = 7;
@@ -52,6 +52,8 @@ struct FaultPlan {
   FaultKind kind = FaultKind::kShortRead;
   uint8_t count = 1;
   uint16_t arg = 0;
+
+  bool operator==(const FaultPlan&) const = default;
 
   bool Valid() const {
     return static_cast<uint8_t>(kind) < kFaultKindCount && count >= 1 &&

@@ -215,6 +215,14 @@ Bytes StreamReassembler::Assemble() const {
   return out;
 }
 
+std::optional<SplitStrategy> ParseSplitStrategy(const std::string& name) {
+  if (name == "crlf") return SplitStrategy::kCrlf;
+  if (name == "len16") return SplitStrategy::kLengthPrefixBe16;
+  if (name == "len32") return SplitStrategy::kLengthPrefixBe32;
+  if (name == "segment") return SplitStrategy::kSegment;
+  return std::nullopt;
+}
+
 std::vector<Bytes> SplitStream(const Bytes& stream, SplitStrategy strategy) {
   std::vector<Bytes> out;
   switch (strategy) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -79,6 +80,10 @@ enum class SplitStrategy {
   kLengthPrefixBe32, // 4-byte big-endian length header
   kSegment,          // one logical packet per TCP segment / UDP datagram
 };
+
+// The strategy a --split name selects: crlf, len16, len32 or segment.
+// Nullopt for any other name.
+std::optional<SplitStrategy> ParseSplitStrategy(const std::string& name);
 
 std::vector<Bytes> SplitStream(const Bytes& stream, SplitStrategy strategy);
 

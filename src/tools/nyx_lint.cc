@@ -36,11 +36,12 @@
 //   snapshot-state  mutable file-scope / function-local statics,
 //                   thread_locals and g_ globals in the snapshot-relevant
 //                   directories (src/vm, src/netemu, src/targets, src/mario,
-//                   src/fuzz) must carry NYX_SNAPSHOT_STATE (registered in
-//                   the SnapshotStateRegistry with capture/restore hooks) or
-//                   NYX_EXEC_EPHEMERAL (re-initialized every exec). State
-//                   with neither annotation survives a snapshot restore
-//                   unrestored — the classic irreproducible-execution bug.
+//                   src/fuzz) must carry NYX_EXEC_EPHEMERAL (re-initialized
+//                   every exec). No restore brings a static back, so state
+//                   a restore must restore belongs in guest memory or the
+//                   engine's host-state copies; an unannotated static
+//                   survives a snapshot restore unrestored — the classic
+//                   irreproducible-execution bug.
 //   raw-mprotect    mprotect outside the dirty tracker
 //                   (src/vm/guest_memory.{h,cc}), and userfaultfd write
 //                   protection anywhere. All page-protection changes flow
@@ -126,7 +127,7 @@ std::string TrimLeft(const std::string& s) {
 // Directories whose mutable statics must be snapshot-annotated: everything a
 // snapshot restore is supposed to cover. src/fuzz is included (stricter than
 // the bare minimum) because the engine and guest runtime hold the
-// interpreter state the aux blob must capture.
+// interpreter state a restore must bring back.
 bool InSnapshotDirs(const std::string& rel) {
   return StartsWith(rel, "src/vm/") || StartsWith(rel, "src/netemu/") ||
          StartsWith(rel, "src/targets/") || StartsWith(rel, "src/mario/") ||
@@ -360,8 +361,8 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
   const bool knob_reads = (StartsWith(rel, "src/") || StartsWith(rel, "bench/")) && !self;
   const bool knob_list = rel == kKnobListFile;
 
-  // Countdown of lines during which a NYX_SNAPSHOT_STATE/NYX_EXEC_EPHEMERAL
-  // annotation still covers a following declaration (annotation line itself
+  // Countdown of lines during which a NYX_EXEC_EPHEMERAL annotation still
+  // covers a following declaration (annotation line itself
   // plus the next three lines, enough for a multi-line declaration).
   int annotated = 0;
   // Same countdown scheme for NYX_RAW_METRIC_OK (raw-metrics rule).
@@ -450,16 +451,15 @@ void LintSourceLines(const std::string& rel, const std::vector<std::string>& lin
     }
 
     if (snapshot_dirs) {
-      if (code.find("NYX_SNAPSHOT_STATE") != std::string::npos ||
-          code.find("NYX_EXEC_EPHEMERAL") != std::string::npos) {
+      if (code.find("NYX_EXEC_EPHEMERAL") != std::string::npos) {
         annotated = 4;
       }
       if (annotated == 0 && DeclaresMutableStatic(code)) {
         Report(rel, lineno, "snapshot-state",
                "mutable static-duration state in a snapshot-covered directory "
-               "must be annotated NYX_SNAPSHOT_STATE (registered with "
-               "capture/restore hooks) or NYX_EXEC_EPHEMERAL (re-initialized "
-               "every exec); see src/vm/state_registry.h");
+               "must be annotated NYX_EXEC_EPHEMERAL (re-initialized every "
+               "exec); state a restore must bring back belongs in guest memory "
+               "or the engine's host-state copies; see src/vm/guest_memory.h");
       }
       if (annotated > 0) {
         annotated--;
@@ -554,9 +554,11 @@ int SelfTest() {
        {"thread_local int t_depth = 0;"}, "snapshot-state", 1},
       {"unannotated g_ global", "src/vm/fixture.cc",
        {"std::atomic<int> g_hook{nullptr};"}, "snapshot-state", 1},
-      {"annotated static", "src/netemu/fixture.cc",
-       {"NYX_SNAPSHOT_STATE(\"netemu.fixture\");", "static int g_counter = 0;"},
-       "snapshot-state", 0},
+      // The deleted host-state annotation no longer exempts a static (the
+      // name is split so that it appears nowhere in src as one token).
+      {"deleted host-state annotation", "src/netemu/fixture.cc",
+       {"NYX_SNAPSHOT_" "STATE(\"netemu.fixture\");", "static int g_counter = 0;"},
+       "snapshot-state", 1},
       {"annotated thread_local", "src/fuzz/fixture.cc",
        {"NYX_EXEC_EPHEMERAL(\"fuzz.fixture\");", "thread_local int t_depth = 0;"},
        "snapshot-state", 0},

@@ -9,7 +9,7 @@
 //       [--seed N] [--vm-pages N] [--asan] [--workdir DIR] [--resume] [--faults]
 //       Run a campaign; persists queue/crashes/stats into the workdir.
 //       --faults enables deterministic fault injection (Nyx policies only).
-//       --vm-pages sizes the guest (default 1024, at least 17).
+//       --vm-pages sizes the guest (default 1024, 17 to 1048576).
 //   nyx-net pcap --target NAME --pcap FILE [--port P]
 //       [--split crlf|len16|len32|segment] [--workdir DIR]
 //       Convert a capture into bytecode seeds (section 4.4).
@@ -24,9 +24,10 @@
 //   nyx-net mario --level 1-1 [--policy ...] [--wall SECONDS] [--seed N]
 //       Solve a Super Mario level (section 5.3).
 //
-// A command exits 2 on an option it cannot use as given: an unknown policy,
-// or a number that does not parse whole (--vtime and --wall take positive
-// numbers, --seed, --vm-pages and --port unsigned integers).
+// A command exits 2 on an option it cannot use as given: an unknown policy
+// or --split name, a guest size outside 17 to 1048576 pages, or a number
+// that does not parse whole (--vtime and --wall take positive numbers,
+// --seed, --vm-pages and --port unsigned integers).
 
 #include <dirent.h>
 
@@ -193,6 +194,11 @@ int CmdFuzz(const Args& args) {
             engine_cfg.vm.mem_pages, static_cast<unsigned long long>(kMinGuestPages));
     return 2;
   }
+  if (engine_cfg.vm.mem_pages > kMaxGuestPages) {
+    fprintf(stderr, "--vm-pages %zu is larger than the largest guest, %llu pages (4 GiB)\n",
+            engine_cfg.vm.mem_pages, static_cast<unsigned long long>(kMaxGuestPages));
+    return 2;
+  }
 
   CampaignLimits limits;
   limits.vtime_seconds = args.GetDouble("vtime", 120.0);
@@ -299,10 +305,12 @@ int CmdPcap(const Args& args) {
   fclose(f);
 
   const std::string split = args.Get("split", "crlf");
-  SplitStrategy strategy = SplitStrategy::kCrlf;
-  if (split == "len16") strategy = SplitStrategy::kLengthPrefixBe16;
-  if (split == "len32") strategy = SplitStrategy::kLengthPrefixBe32;
-  if (split == "segment") strategy = SplitStrategy::kSegment;
+  const std::optional<SplitStrategy> strategy = ParseSplitStrategy(split);
+  if (!strategy.has_value()) {
+    fprintf(stderr, "unknown --split '%s'; expected crlf|len16|len32|segment\n",
+            split.c_str());
+    return 2;
+  }
 
   const uint64_t port_arg = args.GetU64("port", reg->factory()->info().port);
   if (port_arg > UINT16_MAX) {
@@ -311,7 +319,7 @@ int CmdPcap(const Args& args) {
     return 2;
   }
   const uint16_t port = static_cast<uint16_t>(port_arg);
-  auto program = ProgramFromPcap(spec, raw, port, strategy);
+  auto program = ProgramFromPcap(spec, raw, port, *strategy);
   if (!program.has_value()) {
     fprintf(stderr, "no usable client->server traffic for port %u found\n", port);
     return 1;

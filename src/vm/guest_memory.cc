@@ -11,7 +11,6 @@
 #include <mutex>
 
 #include "src/common/check.h"
-#include "src/vm/state_registry.h"
 
 namespace nyx {
 namespace {

@@ -38,6 +38,19 @@
 
 namespace nyx {
 
+// Marks a mutable static in a snapshot-relevant directory as per-exec
+// ephemeral: re-initialized every execution, or campaign infrastructure no
+// execution observes, so no snapshot needs to restore it. It expands to
+// nothing at runtime; its job is to make the author answer "who restores
+// this?" at the declaration, where nyx_lint's `snapshot-state` rule looks
+// for it (DESIGN.md §10). Host state a restore must bring back belongs in
+// the engine's host-state copies instead (src/fuzz/engine.h).
+//
+//   NYX_EXEC_EPHEMERAL("guest.fault_jmp");       // re-armed every exec
+//   thread_local sigjmp_buf t_step_jmp;
+#define NYX_EXEC_EPHEMERAL(name) \
+  static_assert(sizeof(name) > 1, "ephemeral state must be named")
+
 // The mprotect wrapper for protection changes that are not dirty tracking
 // (the guard page, sealing the root snapshot's read-only view). The nyx_lint
 // `raw-mprotect` rule bans mprotect outside src/vm/guest_memory.*, so every

@@ -21,10 +21,8 @@ Vm::Vm(const VmConfig& config)
   devices_.AddDevice("virtio-blk", 256);
 }
 
-void Vm::TakeRootSnapshot(Bytes aux) {
+void Vm::TakeRootSnapshot() {
   root_ = std::make_unique<RootSnapshot>(mem_, devices_, disk_);
-  root_aux_ = std::move(aux);
-  current_aux_ = root_aux_;
   // The old mirror maps the previous root's memfd.
   inc_.reset();
   inc_base_live_ = false;
@@ -89,7 +87,6 @@ void Vm::RestoreRoot() {
   DropIncremental();
   disk_.RestoreFromRoot(root_->disk());
   RestoreDevices(root_->devices());
-  current_aux_ = root_aux_;
   stats_.root_restores++;
 }
 
@@ -100,11 +97,10 @@ void Vm::RestoreIncremental() {
   RestorePages({}, inc_.get());
   disk_.RestoreFromIncremental(inc_->disk(), root_->disk());
   RestoreDevices(inc_->devices());
-  current_aux_ = inc_aux_;
   stats_.incremental_restores++;
 }
 
-void Vm::CreateIncremental(Bytes aux) {
+void Vm::CreateIncremental() {
   NYX_CHECK(root_ != nullptr) << "CreateIncremental before TakeRootSnapshot";
   NYX_CHECK(!inc_base_live_) << "CreateIncremental away from the root state";
   telemetry::ScopedPhase phase(telemetry::Phase::kDirtyReset);
@@ -115,8 +111,6 @@ void Vm::CreateIncremental(Bytes aux) {
   inc_->Capture(mem_, devices_, disk_);
   mem_.ReArmDirtyPages();
   inc_base_live_ = true;
-  inc_aux_ = std::move(aux);
-  current_aux_ = inc_aux_;
 
   stats_.incremental_creates++;
   stats_.pages_captured += dirty;

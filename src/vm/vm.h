@@ -14,10 +14,9 @@
 //  * a restored page comes from the incremental when its delta holds the
 //    page, otherwise from the root
 //
-// An opaque auxiliary blob rides along with each snapshot. The execution
-// engine uses it to store host-side state that is logically part of the
-// guest (the emulated kernel's fd table and the input-stream position), so a
-// restore brings back *all* state, exactly like a whole-VM snapshot would.
+// Host-side state that is logically part of the guest (the emulated
+// kernel's socket table, the interpreter's position) is not the VM's
+// business: the engine keeps its own copies beside these snapshots.
 
 #ifndef SRC_VM_VM_H_
 #define SRC_VM_VM_H_
@@ -73,8 +72,7 @@ class Vm {
   // Root snapshot ----------------------------------------------------------
 
   // Captures the root snapshot of the current state and arms dirty tracking.
-  // `aux` is returned verbatim by current_aux() after every root restore.
-  void TakeRootSnapshot(Bytes aux = {});
+  void TakeRootSnapshot();
   bool has_root() const { return root_ != nullptr; }
   const RootSnapshot& root() const { return *root_; }
 
@@ -87,7 +85,7 @@ class Vm {
 
   // Captures the second-level snapshot. Must be at the root state: after
   // TakeRootSnapshot or RestoreRoot, with no incremental created since.
-  void CreateIncremental(Bytes aux = {});
+  void CreateIncremental();
   bool has_incremental() const { return inc_ != nullptr && inc_->valid(); }
   const IncrementalSnapshot& incremental() const { return *inc_; }
   // Reverts the current dirt to the incremental snapshot's content.
@@ -96,8 +94,9 @@ class Vm {
   // root restore still reverts the pages it captured.
   void DropIncremental();
 
-  // The aux blob of whichever snapshot was restored last.
-  const Bytes& current_aux() const { return current_aux_; }
+  // Always empty: no host state rides inside the snapshots. Kept because
+  // the wall-clock benchmark runner still reports its size.
+  Bytes current_aux() const { return {}; }
 
   const VmStats& stats() const { return stats_; }
 
@@ -129,9 +128,6 @@ class Vm {
   // Preallocated scratch for RestorePages: dedup bitmap + revert page list.
   std::vector<uint8_t> visited_;
   std::vector<uint32_t> revert_;
-  Bytes root_aux_;
-  Bytes inc_aux_;
-  Bytes current_aux_;
 
   VmStats stats_;
   VirtualClock* clock_ = nullptr;

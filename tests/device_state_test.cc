@@ -87,7 +87,7 @@ TEST(DeviceStateTest, DeserializeRejectsCorruptFieldTag) {
 }
 
 TEST(DeviceStateTest, DeserializeSurvivesRandomCorruption) {
-  // Snapshot aux blobs are engine-produced, but a Deserialize that can be
+  // Device blobs are engine-produced, but a Deserialize that can be
   // walked out of bounds by a flipped length field is a time bomb. 10k
   // random corruptions of a valid blob: every one must either be rejected
   // or produce a state that round-trips — never crash or hang.

@@ -1,6 +1,7 @@
-// Property tests for the network emulation layer: serialization robustness
-// against fuzzed blobs, snapshot-restore equivalence under random operation
-// sequences, and conservation of delivered bytes.
+// Property tests for the network emulation layer: codec robustness against
+// fuzzed blobs, snapshot-restore equivalence under random operation
+// sequences (by-value restore and the codec), and conservation of delivered
+// bytes.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,23 @@ namespace nyx {
 namespace {
 
 class NetEmuPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// One call of a replayed tail: its return value, the bytes it read, and the
+// faulted bytes gained since the tail began (faulted_bytes() is a counter
+// outside NetEmu::State, so only its growth is comparable).
+struct TailStep {
+  int ret = 0;
+  Bytes data;
+  uint64_t faulted = 0;
+  bool operator==(const TailStep&) const = default;
+};
+using Tail = std::vector<TailStep>;
+
+TailStep RecvStep(NetEmu& net, int fd, size_t len, uint64_t faulted_base) {
+  uint8_t buf[32] = {};
+  const int r = net.Recv(fd, buf, len);
+  return TailStep{r, Bytes(buf, buf + (r > 0 ? r : 0)), net.faulted_bytes() - faulted_base};
+}
 
 TEST_P(NetEmuPropertyTest, FuzzedSnapshotsNeverCrashDeserialize) {
   Rng rng(GetParam());
@@ -47,9 +65,10 @@ TEST_P(NetEmuPropertyTest, TruncatedRealSnapshotsNeverCrash) {
 }
 
 TEST_P(NetEmuPropertyTest, SerializeRoundTripPreservesBehaviour) {
-  // Drive a random operation sequence on one instance; snapshot it; drive
-  // the SAME remaining reads on the original and the restored copy — the
-  // results must be identical.
+  // Drive a random operation sequence on one instance; snapshot it by value
+  // and through the codec; drive the SAME remaining reads on the original,
+  // on the original restored, and on the decoded copy — the results must be
+  // identical.
   Rng rng(GetParam());
   NetEmu original;
   int lfd = original.Socket(SockKind::kStream);
@@ -93,26 +112,24 @@ TEST_P(NetEmuPropertyTest, SerializeRoundTripPreservesBehaviour) {
     }
   }
 
-  NetEmu restored;
-  ASSERT_TRUE(restored.Deserialize(original.Serialize()));
-
-  for (int step = 0; step < 40; step++) {
-    if (fds.empty()) {
-      break;
+  // The same reads, replayed three ways: straight through, on the original
+  // after the by-value restore every exec takes, and on a codec copy.
+  auto read_tail = [&](NetEmu& net) {
+    Rng tail_rng(GetParam() ^ 0x7461696cull);
+    Tail tail;
+    for (int step = 0; step < 40 && !fds.empty(); step++) {
+      const int fd = tail_rng.Choice(fds);
+      tail.push_back(RecvStep(net, fd, tail_rng.Below(24) + 1, 0));
     }
-    const int fd = rng.Choice(fds);
-    const size_t len = rng.Below(24) + 1;
-    uint8_t a[32];
-    uint8_t b[32];
-    memset(a, 0, sizeof(a));
-    memset(b, 0, sizeof(b));
-    const int ra = original.Recv(fd, a, len);
-    const int rb = restored.Recv(fd, b, len);
-    ASSERT_EQ(ra, rb) << "step " << step;
-    if (ra > 0) {
-      ASSERT_EQ(0, memcmp(a, b, static_cast<size_t>(ra)));
-    }
-  }
+    return tail;
+  };
+  const NetEmu::State saved = original.state();
+  NetEmu decoded;
+  ASSERT_TRUE(decoded.Deserialize(original.Serialize()));
+  const Tail straight = read_tail(original);
+  original.Restore(saved);
+  EXPECT_EQ(read_tail(original), straight);
+  EXPECT_EQ(read_tail(decoded), straight);
 }
 
 TEST_P(NetEmuPropertyTest, DeliveredBytesAreConserved) {
@@ -211,9 +228,10 @@ TEST_P(NetEmuPropertyTest, DeliveredBytesAreConservedUnderFaults) {
 
 TEST_P(NetEmuPropertyTest, SnapshotMidBurstEqualsUninterrupted) {
   // Core determinism property for fault replay: running a faulted operation
-  // sequence straight through must be indistinguishable from serializing the
-  // emulator mid-burst and finishing on a restored copy. Drives the same
-  // random tail on both instances and compares every return value and byte.
+  // sequence straight through must be indistinguishable from snapshotting
+  // the emulator mid-burst, restoring it and running the rest again. Drives
+  // the same random tail on every instance and compares every return value,
+  // byte and faulted-byte count.
   Rng setup_rng(GetParam());
   NetEmu original;
   int lfd = original.Socket(SockKind::kStream);
@@ -240,34 +258,31 @@ TEST_P(NetEmuPropertyTest, SnapshotMidBurstEqualsUninterrupted) {
   }
   original.DeliverPacket(conn, Bytes(32, 0xa5));
 
-  NetEmu restored;
-  ASSERT_TRUE(restored.Deserialize(original.Serialize()));
-  // faulted_bytes is an observational counter (deliberately not serialized,
-  // like calls()), so compare per-instance deltas from here on.
-  const uint64_t base_orig = original.faulted_bytes();
-  const uint64_t base_rest = restored.faulted_bytes();
-
-  Rng tail_rng(GetParam() ^ 0x7461696cull);
-  for (int step = 0; step < 60; step++) {
-    if (tail_rng.Chance(1, 4)) {
-      const Bytes pkt(1 + tail_rng.Below(16), 0x33);
-      ASSERT_EQ(original.DeliverPacket(conn, pkt), restored.DeliverPacket(conn, pkt));
-      continue;
+  // The tail interleaves deliveries and reads; it runs straight through,
+  // again on the original after the by-value restore every exec takes, and
+  // on a codec copy.
+  auto run_tail = [&](NetEmu& net) {
+    Rng tail_rng(GetParam() ^ 0x7461696cull);
+    const uint64_t faulted_base = net.faulted_bytes();
+    Tail tail;
+    for (int step = 0; step < 60; step++) {
+      if (tail_rng.Chance(1, 4)) {
+        const Bytes pkt(1 + tail_rng.Below(16), 0x33);
+        const bool ok = net.DeliverPacket(conn, pkt);
+        tail.push_back(TailStep{ok ? 1 : 0, {}, net.faulted_bytes() - faulted_base});
+        continue;
+      }
+      tail.push_back(RecvStep(net, cfd, 1 + tail_rng.Below(24), faulted_base));
     }
-    const size_t len = 1 + tail_rng.Below(24);
-    uint8_t a[32];
-    uint8_t b[32];
-    memset(a, 0, sizeof(a));
-    memset(b, 0, sizeof(b));
-    const int ra = original.Recv(cfd, a, len);
-    const int rb = restored.Recv(cfd, b, len);
-    ASSERT_EQ(ra, rb) << "step " << step;
-    if (ra > 0) {
-      ASSERT_EQ(0, memcmp(a, b, static_cast<size_t>(ra)));
-    }
-    ASSERT_EQ(original.faulted_bytes() - base_orig, restored.faulted_bytes() - base_rest)
-        << "step " << step;
-  }
+    return tail;
+  };
+  const NetEmu::State saved = original.state();
+  NetEmu decoded;
+  ASSERT_TRUE(decoded.Deserialize(original.Serialize()));
+  const Tail straight = run_tail(original);
+  original.Restore(saved);
+  EXPECT_EQ(run_tail(original), straight);
+  EXPECT_EQ(run_tail(decoded), straight);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetEmuPropertyTest, ::testing::Values(1, 2, 3, 4, 5, 6));

@@ -1,6 +1,6 @@
 // Tests for the selective network emulation layer: socket lifecycle, packet
-// boundary semantics, readiness emulation, fd aliasing across dup/fork, and
-// snapshot serialization.
+// boundary semantics, fd sharing across fork, by-value state restore, and
+// the byte codec.
 
 #include <gtest/gtest.h>
 
@@ -133,7 +133,6 @@ TEST(NetEmuTest, BadFdErrors) {
   EXPECT_EQ(net.Recv(99, buf, 1), kErrBadf);
   EXPECT_EQ(net.Send(99, "x", 1), kErrBadf);
   EXPECT_EQ(net.Close(99), kErrBadf);
-  EXPECT_EQ(net.Dup(99), kErrBadf);
   EXPECT_EQ(net.Accept(99), kErrBadf);
   EXPECT_EQ(net.Listen(99, 1), kErrBadf);
 }
@@ -142,34 +141,6 @@ TEST(NetEmuTest, RecvOnListenerIsInvalid) {
   ServerSetup s;
   char buf[1];
   EXPECT_EQ(s.net.Recv(s.listener_fd, buf, 1), kErrInval);
-}
-
-TEST(NetEmuTest, DupAliasesShareConsumption) {
-  ServerSetup s;
-  int alias = s.net.Dup(s.conn_fd);
-  ASSERT_GE(alias, 0);
-  s.net.DeliverPacket(s.conn, ToBytes("XY"));
-  char buf[4];
-  EXPECT_EQ(s.net.Recv(alias, buf, 4), 2);
-  EXPECT_EQ(s.net.Recv(s.conn_fd, buf, 4), kErrAgain);
-  // Socket stays alive until the last alias closes.
-  EXPECT_EQ(s.net.Close(s.conn_fd), 0);
-  s.net.DeliverPacket(s.conn, ToBytes("Z"));
-  EXPECT_EQ(s.net.Recv(alias, buf, 4), 1);
-  EXPECT_EQ(s.net.Close(alias), 0);
-  EXPECT_FALSE(s.net.ValidConn(s.conn));
-}
-
-TEST(NetEmuTest, Dup2ReplacesTarget) {
-  ServerSetup s;
-  int other = s.net.Socket(SockKind::kStream);
-  int r = s.net.Dup2(s.conn_fd, other);
-  EXPECT_EQ(r, other);
-  s.net.DeliverPacket(s.conn, ToBytes("Q"));
-  char buf[2];
-  EXPECT_EQ(s.net.Recv(other, buf, 2), 1);
-  EXPECT_EQ(buf[0], 'Q');
-  EXPECT_EQ(s.net.Dup2(s.conn_fd, s.conn_fd), s.conn_fd);
 }
 
 TEST(NetEmuTest, ForkSharesStreamPosition) {
@@ -194,60 +165,6 @@ TEST(NetEmuTest, ForkSharesStreamPosition) {
   EXPECT_FALSE(s.net.ValidConn(s.conn));
 }
 
-TEST(NetEmuTest, PollReportsReadiness) {
-  ServerSetup s;
-  std::vector<PollRequest> reqs(1);
-  reqs[0].fd = s.conn_fd;
-  reqs[0].want_read = true;
-  reqs[0].want_write = true;
-  EXPECT_EQ(s.net.Poll(reqs), 1);  // writable only
-  EXPECT_FALSE(reqs[0].readable);
-  EXPECT_TRUE(reqs[0].writable);
-
-  s.net.DeliverPacket(s.conn, ToBytes("A"));
-  EXPECT_EQ(s.net.Poll(reqs), 1);
-  EXPECT_TRUE(reqs[0].readable);
-
-  // Read-only poll with nothing queued signals the blocked-on-input point.
-  char buf[2];
-  s.net.Recv(s.conn_fd, buf, 2);
-  reqs[0].want_write = false;
-  EXPECT_EQ(s.net.Poll(reqs), 0);
-  EXPECT_TRUE(s.net.blocked_on_input());
-}
-
-TEST(NetEmuTest, PollListenerReadableWithPendingConn) {
-  NetEmu net;
-  int lfd = net.Socket(SockKind::kStream);
-  net.Bind(lfd, 80);
-  net.Listen(lfd, 4);
-  std::vector<PollRequest> reqs(1);
-  reqs[0].fd = lfd;
-  reqs[0].want_read = true;
-  EXPECT_EQ(net.Poll(reqs), 0);
-  net.QueueConnection(80);
-  EXPECT_EQ(net.Poll(reqs), 1);
-  EXPECT_TRUE(reqs[0].readable);
-}
-
-TEST(NetEmuTest, EpollLifecycle) {
-  ServerSetup s;
-  int ep = s.net.EpollCreate();
-  ASSERT_GE(ep, 0);
-  EXPECT_EQ(s.net.EpollCtlAdd(ep, s.conn_fd, true), 0);
-  EXPECT_EQ(s.net.EpollCtlAdd(ep, s.conn_fd, true), kErrInval);  // duplicate
-  std::vector<int> ready;
-  EXPECT_EQ(s.net.EpollWait(ep, ready), 0);
-  EXPECT_TRUE(s.net.blocked_on_input());
-  s.net.DeliverPacket(s.conn, ToBytes("A"));
-  EXPECT_EQ(s.net.EpollWait(ep, ready), 1);
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0], s.conn_fd);
-  EXPECT_EQ(s.net.EpollCtlDel(ep, s.conn_fd), 0);
-  EXPECT_EQ(s.net.EpollWait(ep, ready), 0);
-  EXPECT_EQ(s.net.EpollCtlDel(ep, s.conn_fd), kErrBadf);
-}
-
 TEST(NetEmuTest, ClientConnectBecomesAttackSurface) {
   NetEmu net;
   int fd = net.Socket(SockKind::kStream);
@@ -260,20 +177,10 @@ TEST(NetEmuTest, ClientConnectBecomesAttackSurface) {
   EXPECT_TRUE(net.consumed_input());
 }
 
-TEST(NetEmuTest, ShutdownStopsSendGivesEof) {
-  ServerSetup s;
-  EXPECT_EQ(s.net.Shutdown(s.conn_fd), 0);
-  // Writing after our own shutdown is EPIPE, matching a real kernel (it was
-  // ENOTCONN before the error-path audit).
-  EXPECT_EQ(s.net.Send(s.conn_fd, "x", 1), kErrPipe);
-  char buf[1];
-  EXPECT_EQ(s.net.Recv(s.conn_fd, buf, 1), 0);
-}
-
 TEST(NetEmuTest, SendAfterPeerFinStillSucceeds) {
   // Error-path consistency: a peer FIN half-closes the stream. The target
   // can still send (TCP delivers post-FIN data to the peer's socket until
-  // it resets); only shutdown/reset make Send fail.
+  // it resets); only a reset makes Send fail.
   ServerSetup s;
   s.net.PeerClose(s.conn);
   EXPECT_EQ(s.net.Send(s.conn_fd, "late", 4), 4);
@@ -312,8 +219,6 @@ TEST(NetEmuTest, SerializeDeserializeRoundTrip) {
   ServerSetup s;
   s.net.DeliverPacket(s.conn, ToBytes("PENDING"));
   s.net.Send(s.conn_fd, "SENT", 4);
-  int ep = s.net.EpollCreate();
-  s.net.EpollCtlAdd(ep, s.conn_fd, true);
   char tmp[3];
   s.net.Recv(s.conn_fd, tmp, 3);  // partial consume: offset must survive
 
@@ -332,8 +237,9 @@ TEST(NetEmuTest, SerializeDeserializeRoundTrip) {
 TEST(NetEmuTest, ForkFdTableSurvivesSnapshotRestore) {
   // A forked server is mid-handoff when the fuzzer snapshots: the child's
   // duplicated fd table, the shared socket refcounts, and the
-  // current-process selector must all come back from the blob, or a resumed
-  // run double-frees sockets the pre-snapshot run still held.
+  // current-process selector must all come back, or a resumed run
+  // double-frees sockets the pre-snapshot run still held. Checked for the
+  // by-value restore every exec takes and for the codec.
   ServerSetup s;
   s.net.DeliverPacket(s.conn, ToBytes("ONE"));
   s.net.DeliverPacket(s.conn, ToBytes("TWO"));
@@ -343,30 +249,30 @@ TEST(NetEmuTest, ForkFdTableSurvivesSnapshotRestore) {
   EXPECT_EQ(s.net.Recv(s.conn_fd, buf, 8), 3);  // parent consumes "ONE"
   s.net.SetCurrentProcess(child);
 
+  const NetEmu::State saved = s.net.state();
   const Bytes blob = s.net.Serialize();
-  NetEmu restored;
-  ASSERT_TRUE(restored.Deserialize(blob));
+  NetEmu decoded;
+  ASSERT_TRUE(decoded.Deserialize(blob));
 
-  // The restore lands in the child process with the stream position intact.
-  EXPECT_EQ(restored.current_process(), child);
-  EXPECT_EQ(restored.Recv(s.conn_fd, buf, 8), 3);
-  EXPECT_EQ(0, memcmp(buf, "TWO", 3));
-
-  // Refcounts were restored too: the parent's exit must not tear down the
-  // connection while the child's duplicated fd still references it.
-  restored.ExitProcess(0);
-  EXPECT_TRUE(restored.ValidConn(s.conn));
-  restored.ExitProcess(child);
-  EXPECT_FALSE(restored.ValidConn(s.conn));
-
-  // The pre-restore instance is untouched by the restored copy's teardown.
-  EXPECT_TRUE(s.net.ValidConn(s.conn));
-
-  // A fork in the restored world must mint a process id the snapshot never
-  // used — next_process_ survives the round trip.
-  NetEmu again;
-  ASSERT_TRUE(again.Deserialize(blob));
-  EXPECT_GT(again.ForkFdTable(), child);
+  // Runs the tail: the child reads "TWO", both processes exit, and a fork
+  // after the restore must mint a process id the snapshot never used.
+  auto tail = [&](NetEmu& net) {
+    // The restore lands in the child process with the stream position intact.
+    EXPECT_EQ(net.current_process(), child);
+    EXPECT_EQ(net.Recv(s.conn_fd, buf, 8), 3);
+    EXPECT_EQ(0, memcmp(buf, "TWO", 3));
+    // Refcounts were restored too: the parent's exit must not tear down the
+    // connection while the child's duplicated fd still references it.
+    net.ExitProcess(0);
+    EXPECT_TRUE(net.ValidConn(s.conn));
+    net.ExitProcess(child);
+    EXPECT_FALSE(net.ValidConn(s.conn));
+    EXPECT_GT(net.ForkFdTable(), child);
+  };
+  tail(s.net);
+  s.net.Restore(saved);
+  tail(s.net);
+  tail(decoded);
 }
 
 TEST(NetEmuTest, DeserializeRejectsGarbage) {
@@ -472,38 +378,24 @@ TEST(NetEmuFaultTest, ShortWriteCapsSend) {
   EXPECT_EQ(s.net.Send(s.conn_fd, "OK", 2), 2);
 }
 
-TEST(NetEmuFaultTest, TimeoutAdvancesClockAndExpiresPoll) {
+TEST(NetEmuFaultTest, TimeoutAdvancesClockAndExpiresRecv) {
   ServerSetup s;
   VirtualClock clock;
   CostModel cost;
   s.net.AttachClock(&clock, &cost);
   s.net.DeliverPacket(s.conn, ToBytes("READY"));
   ASSERT_TRUE(s.net.QueueFault(s.conn, FaultPlan{FaultKind::kTimeout, 1, 250}));
-  std::vector<PollRequest> reqs(1);
-  reqs[0].fd = s.conn_fd;
-  reqs[0].want_read = true;
+  char buf[8];
   const uint64_t before = clock.now_ns();
-  // Data is queued, but the timeout fault expires the poll anyway.
-  EXPECT_EQ(s.net.Poll(reqs), 0);
-  EXPECT_FALSE(reqs[0].readable);
-  EXPECT_GE(clock.now_ns() - before, 250ull * 1000000ull);
+  // Data is queued, but the timeout fault expires the read anyway. The
+  // clock moves by the plan's 250 ms plus the call's own charge.
+  EXPECT_EQ(s.net.Recv(s.conn_fd, buf, sizeof(buf)), kErrTimedOut);
+  EXPECT_EQ(clock.now_ns() - before, 250ull * 1000000ull + cost.emulated_call_ns);
+  // Not a real blocking point: the root-snapshot placement signal stays off.
   EXPECT_FALSE(s.net.blocked_on_input());
-  // The fault is spent: the next poll sees the data.
-  EXPECT_EQ(s.net.Poll(reqs), 1);
-  EXPECT_TRUE(reqs[0].readable);
-}
-
-TEST(NetEmuFaultTest, TimeoutExpiresEpollWait) {
-  ServerSetup s;
-  s.net.DeliverPacket(s.conn, ToBytes("READY"));
-  int ep = s.net.EpollCreate();
-  ASSERT_EQ(s.net.EpollCtlAdd(ep, s.conn_fd, true), 0);
-  ASSERT_TRUE(s.net.QueueFault(s.conn, FaultPlan{FaultKind::kTimeout, 1, 1}));
-  std::vector<int> ready;
-  EXPECT_EQ(s.net.EpollWait(ep, ready), 0);
-  EXPECT_EQ(s.net.EpollWait(ep, ready), 1);
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0], s.conn_fd);
+  // The fault is spent: the next read gets the data.
+  EXPECT_EQ(s.net.Recv(s.conn_fd, buf, sizeof(buf)), 5);
+  EXPECT_EQ(0, memcmp(buf, "READY", 5));
 }
 
 TEST(NetEmuFaultTest, AcceptSeesBacklogConnAbort) {

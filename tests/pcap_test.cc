@@ -139,6 +139,16 @@ TEST(SplitTest, SegmentKeepsWhole) {
   EXPECT_TRUE(SplitStream({}, SplitStrategy::kSegment).empty());
 }
 
+TEST(SplitTest, ParseSplitStrategyNames) {
+  EXPECT_EQ(ParseSplitStrategy("crlf"), SplitStrategy::kCrlf);
+  EXPECT_EQ(ParseSplitStrategy("len16"), SplitStrategy::kLengthPrefixBe16);
+  EXPECT_EQ(ParseSplitStrategy("len32"), SplitStrategy::kLengthPrefixBe32);
+  EXPECT_EQ(ParseSplitStrategy("segment"), SplitStrategy::kSegment);
+  // A misspelling is rejected, not read as the crlf default.
+  EXPECT_EQ(ParseSplitStrategy("len61"), std::nullopt);
+  EXPECT_EQ(ParseSplitStrategy(""), std::nullopt);
+}
+
 TEST(PcapSeedTest, EndToEndTcpCrlf) {
   // A capture mixing both directions; only client->server:21 counts.
   std::vector<PcapPacket> pkts;

@@ -1,8 +1,8 @@
 // Tests for the cross-restore determinism auditor (src/fuzz/audit.h).
 //
 // Positive direction: every registered target, under every snapshot policy,
-// must replay divergence-free — the registry-built aux blob plus the VM
-// restore really does bring back all state. Negative direction: a target
+// must replay divergence-free — the engine's host-state copies plus the VM
+// restore really do bring back all state. Negative direction: a target
 // that deliberately leaks mutable host-side state (the contract violation
 // the auditor exists to catch) must be flagged, with the divergence
 // attributed to UNREGISTERED (behavioural-only leak) or to the owning guest
@@ -132,9 +132,9 @@ TEST(SnapshotAuditTest, PinnedPagesReplayDivergenceFree) {
 
 // A target that violates the snapshot contract on purpose: `calls_` lives in
 // the host-side C++ object, so no snapshot restore ever resets it, and the
-// coverage it drives differs between a run and its replay. All *registered*
+// coverage it drives differs between a run and its replay. All *compared*
 // state stays clean, so the auditor must attribute the divergence to
-// UNREGISTERED — the signature of state the registry never heard of.
+// UNREGISTERED — the signature of state no restore brings back.
 class LeakyCounterTarget final : public Target {
  public:
   TargetInfo info() const override {
@@ -178,7 +178,7 @@ TEST(SnapshotAuditTest, UnregisteredHostStateIsFlagged) {
   for (const auto& d : engine.auditor()->divergences()) {
     saw_unregistered =
         saw_unregistered ||
-        (d.source == "coverage" && d.owner == SnapshotStateRegistry::kUnregistered);
+        (d.source == "coverage" && d.owner == DivergenceAuditor::kUnregistered);
   }
   EXPECT_TRUE(saw_unregistered);
 }

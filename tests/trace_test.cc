@@ -27,7 +27,7 @@ std::array<uint64_t, telemetry::kPhaseCount> PhaseSamples() {
 // Telemetry is observation-only: an audited campaign must stay
 // divergence-free with the phase profiler running, and every exec must end
 // with the phase stack empty — the invariant behind the
-// "telemetry.phase_timers" ephemeral that CheckEphemeral verifies per exec.
+// "telemetry.phase_timers" ephemeral that the audited engine checks per exec.
 // Every phase must record samples: a phase that no campaign records is dead.
 TEST(PhaseTraceTest, AuditedCampaignCoversEveryPhase) {
   auto reg = FindTarget("lightftp");

@@ -139,20 +139,6 @@ TEST(VmTest, RootRestoreAfterIncrementalRestoreThenDrop) {
   EXPECT_EQ(vm.mem().base()[9 * kPageSize], 0);
 }
 
-TEST(VmTest, AuxBlobFollowsSnapshots) {
-  Vm vm(SmallConfig());
-  vm.TakeRootSnapshot(ToBytes("root-aux"));
-  EXPECT_EQ(ToString(vm.current_aux()), "root-aux");
-  vm.mem().base()[0] = 1;
-  vm.CreateIncremental(ToBytes("inc-aux"));
-  EXPECT_EQ(ToString(vm.current_aux()), "inc-aux");
-  vm.mem().base()[0] = 2;
-  vm.RestoreIncremental();
-  EXPECT_EQ(ToString(vm.current_aux()), "inc-aux");
-  vm.RestoreRoot();
-  EXPECT_EQ(ToString(vm.current_aux()), "root-aux");
-}
-
 TEST(VmTest, RecreateIncrementalForNewPrefix) {
   Vm vm(SmallConfig());
   vm.TakeRootSnapshot();
