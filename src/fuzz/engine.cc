@@ -165,7 +165,7 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
     const Op& op = input.ops[i];
     if (op.is_snapshot()) {
       if (result.used_incremental || result.created_incremental) {
-        // Malformed input with a second marker (Validate rejects these, but
+        // Malformed input with a second marker (spec::Verify rejects these, but
         // the engine must not abort on one): ignore it.
         continue;
       }

@@ -36,7 +36,8 @@ class Mutator {
 
   // Applies 1..n stacked mutations to `program`, never touching ops before
   // `first_mutable_op`. `corpus_donors` provides splice material (may be
-  // empty). The result is always Repair()ed to validity.
+  // empty). The result is always Repair()ed, so spec::Verify accepts it: a
+  // mutant never outgrows kMaxProgramOps, whatever its base and donors.
   void Mutate(Program& program, const std::vector<const Program*>& corpus_donors,
               size_t first_mutable_op);
 

@@ -5,7 +5,7 @@
 // fingerprint (edges, sites, crash outcome, IJON feedback). Each pass
 // sweeps the ops in reverse order, and each probe removes a whole
 // dependency cone — an op plus every op transitively using its outputs — so
-// every probe is a Validate-clean program without Repair's
+// every probe is a spec::Verify-clean program without Repair's
 // semantics-changing rebinding.
 //
 // When the engine runs with NYX_AUDIT=1 the probes are audited executions,
@@ -36,7 +36,7 @@ struct TrimStats {
 };
 
 // Minimizes `input` against the coverage-fingerprint oracle. The returned
-// program is Validate-clean whenever the input was, and always reproduces
+// program is spec::Verify-clean whenever the input was, and always reproduces
 // the coverage fingerprint of the input with its snapshot marker stripped.
 Program TrimProgram(NyxEngine& engine, const Spec& spec, const Program& input,
                     TrimStats* stats);

@@ -27,9 +27,10 @@ bool EnsureDir(const std::string& path) {
   return mkdir(path.c_str(), 0755) == 0;
 }
 
-std::vector<std::string> ListFiles(const std::string& dir, const std::string& suffix) {
+}  // namespace
+
+std::vector<std::string> Workdir::ListFiles(const std::string& dir, const std::string& suffix) {
   std::vector<std::string> out;
-  // Portable-enough directory listing via popen would be ugly; use readdir.
   if (DIR* d = opendir(dir.c_str())) {
     while (struct dirent* e = readdir(d)) {
       const std::string name = e->d_name;
@@ -43,8 +44,6 @@ std::vector<std::string> ListFiles(const std::string& dir, const std::string& su
   std::sort(out.begin(), out.end());
   return out;
 }
-
-}  // namespace
 
 std::optional<Workdir> Workdir::Open(const std::string& path) {
   if (!EnsureDir(path) || !EnsureDir(path + "/queue") || !EnsureDir(path + "/crashes")) {
@@ -65,7 +64,11 @@ bool Workdir::WriteProgram(const std::string& file, const Program& program) {
   return written && closed;
 }
 
-std::optional<Program> Workdir::ReadProgram(const std::string& file, const Spec& spec) {
+std::optional<Program> Workdir::ReadProgram(const std::string& file, const Spec& spec,
+                                            spec::Result* verdict) {
+  if (verdict != nullptr) {
+    *verdict = spec::Result{};
+  }
   FILE* f = fopen(file.c_str(), "rb");
   if (f == nullptr) {
     return std::nullopt;
@@ -78,14 +81,14 @@ std::optional<Program> Workdir::ReadProgram(const std::string& file, const Spec&
   }
   fclose(f);
   // Corpus files are a trust boundary (hand-edited, synced from other
-  // fuzzers): statically verify before parsing so rejects carry a rule id
-  // and byte offset instead of a bare parse failure.
-  const spec::Result verdict = spec::VerifyWire(wire, spec);
-  if (!verdict.ok()) {
-    NYX_LOG_WARN << "corpus file " << file << " rejected: " << verdict.Summary();
-    return std::nullopt;
+  // fuzzers): Parse verifies, so rejects carry a rule id and byte offset.
+  spec::Result local;
+  spec::Result* out = verdict != nullptr ? verdict : &local;
+  std::optional<Program> program = Program::Parse(wire, spec, out);
+  if (!program.has_value() && verdict == nullptr) {
+    NYX_LOG_WARN << "corpus file " << file << " rejected: " << local.Summary();
   }
-  return Program::Parse(wire, spec);
+  return program;
 }
 
 bool Workdir::SaveQueueEntry(const Program& program, size_t index) const {

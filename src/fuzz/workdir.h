@@ -47,9 +47,16 @@ class Workdir {
   // Writes the whole campaign result: queue, crashes and stats.txt.
   bool SaveCampaign(const CampaignResult& result, const Corpus& corpus) const;
 
-  // Single-file helpers.
+  // Single-file helpers. ReadProgram decodes with Program::Parse; a file
+  // it rejects is logged as a warning, or, when `verdict` is given, left
+  // for the caller to report from the diagnostics (an unreadable file
+  // leaves `verdict` empty).
   static bool WriteProgram(const std::string& file, const Program& program);
-  static std::optional<Program> ReadProgram(const std::string& file, const Spec& spec);
+  static std::optional<Program> ReadProgram(const std::string& file, const Spec& spec,
+                                            spec::Result* verdict = nullptr);
+  // Files in `dir` whose names end in `suffix`, sorted; empty when `dir`
+  // cannot be read.
+  static std::vector<std::string> ListFiles(const std::string& dir, const std::string& suffix);
 
  private:
   explicit Workdir(std::string path) : path_(std::move(path)) {}

@@ -53,14 +53,9 @@ std::optional<Program> Builder::Build() const {
   if (!error_.empty()) {
     return std::nullopt;
   }
-  std::string validation_error;
-  if (!program_.Validate(spec_, &validation_error)) {
-    error_ = validation_error;
-    return std::nullopt;
-  }
-  // Static verification catches what the builder API cannot prevent, e.g.
-  // oversize payloads fed through Packet() that would not survive a wire
-  // round trip.
+  // Static verification catches what the builder API cannot prevent: type
+  // errors and use after consume, and oversize payloads fed through
+  // Packet() that would not survive a wire round trip.
   const spec::Result verdict = spec::Verify(program_, spec_);
   if (!verdict.ok()) {
     error_ = verdict.Summary();

@@ -46,9 +46,9 @@ class Builder {
   void Close(ValueRef conn);
 
   // Serializes the recorded call graph into a flat bytecode program. Returns
-  // nullopt if any recorded call was invalid (unknown node, type error) or
-  // the result fails static verification (spec/verify.h); error() then
-  // carries the diagnostics.
+  // nullopt if any recorded call was invalid (unknown node, wrong arity) or
+  // the result fails spec::Verify (spec/verify.h: type errors, use after
+  // consume, oversize payloads); error() then carries the diagnostics.
   std::optional<Program> Build() const;
 
   const std::string& error() const { return error_; }

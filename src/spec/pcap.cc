@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "src/common/check.h"
 #include "src/spec/builder.h"
-#include "src/spec/verify.h"
 
 namespace nyx {
 
@@ -336,11 +334,7 @@ std::optional<Program> ProgramFromPcap(const Spec& spec, const Bytes& pcap_bytes
                                  p.begin() + static_cast<long>(off + n)));
     }
   }
-  auto program = builder.Build();
-  // Build() verified already; a failure here means the importer itself is
-  // emitting ill-formed bytecode.
-  NYX_DCHECK(!program.has_value() || spec::Verify(*program, spec).ok());
-  return program;
+  return builder.Build();
 }
 
 }  // namespace nyx

@@ -1,51 +1,17 @@
 #include "src/spec/program.h"
 
 #include <algorithm>
+#include <string>
 
-#include "src/common/check.h"
 #include "src/common/hash.h"
 #include "src/spec/fault_plan.h"
+#include "src/spec/verify.h"
 
 namespace nyx {
 
 namespace {
-// Tracks live values and their edge types during validation/repair.
-struct ValueTracker {
-  struct Value {
-    int edge_type;
-    bool live;
-  };
-  std::vector<Value> values;
-
-  void Produce(const NodeTypeDef& node) {
-    for (int out : node.outputs) {
-      values.push_back({out, true});
-    }
-  }
-
-  // Most recently created live value of the given type, if any.
-  std::optional<uint16_t> LatestLive(int edge_type) const {
-    for (size_t i = values.size(); i-- > 0;) {
-      if (values[i].live && values[i].edge_type == edge_type) {
-        return static_cast<uint16_t>(i);
-      }
-    }
-    return std::nullopt;
-  }
-
-  bool IsLive(uint16_t id, int edge_type) const {
-    return id < values.size() && values[id].live && values[id].edge_type == edge_type;
-  }
-
-  void Kill(uint16_t id) {
-    // Call sites check IsLive() first, so an out-of-range id is a logic bug.
-    NYX_DCHECK_LT(static_cast<size_t>(id), values.size());
-    if (id < values.size()) {
-      values[id].live = false;
-    }
-  }
-};
-
+constexpr uint32_t kWireMagic = 0x4e595842;  // "NYXB"
+constexpr uint8_t kWireVersion = 1;
 }  // namespace
 
 uint64_t Program::OpsHash(size_t end_op) const {
@@ -86,58 +52,71 @@ Bytes Program::Serialize() const {
   return out;
 }
 
-std::optional<Program> Program::Parse(const Bytes& wire, const Spec& spec) {
-  size_t off = 0;
-  if (ReadLe32(wire, off) != kWireMagic) {
+std::optional<Program> Program::Parse(const Bytes& wire, const Spec& spec,
+                                      spec::Result* verdict) {
+  spec::Result local;
+  spec::Result& out = verdict != nullptr ? *verdict : local;
+  out = spec::Result{};
+  auto reject = [&](spec::Rule rule, size_t op_index, size_t byte_offset, std::string message) {
+    out.Add({rule, op_index, byte_offset, std::move(message)});
     return std::nullopt;
+  };
+  if (wire.size() < kWireHeaderBytes) {
+    return reject(spec::Rule::kBadHeader, 0, 0,
+                  "buffer of " + std::to_string(wire.size()) +
+                      " bytes is smaller than the header");
   }
-  off += 4;
-  if (off >= wire.size() || wire[off] != kWireVersion) {
-    return std::nullopt;
+  if (ReadLe32(wire, 0) != kWireMagic) {
+    return reject(spec::Rule::kBadHeader, 0, 0, "bad magic");
   }
-  off++;
-  const uint16_t count = ReadLe16(wire, off);
-  off += 2;
-  if (count > kMaxProgramOps) {
-    return std::nullopt;
+  if (wire[4] != kWireVersion) {
+    return reject(spec::Rule::kBadHeader, 0, 4, "unsupported version " + std::to_string(wire[4]));
   }
+  const uint16_t count = ReadLe16(wire, 5);
+
+  // Each op's encoding must begin where the previous one ended and fit in
+  // the buffer; every other rule is left to spec::Verify so it gets its
+  // precise rule id. A decoded op therefore sits exactly where Serialize
+  // would put it, which is the offset Verify reports.
   Program prog;
-  prog.ops.reserve(count);
+  size_t off = kWireHeaderBytes;
   for (uint16_t i = 0; i < count; i++) {
+    const size_t start = off;
+    auto truncated = [&](const char* what) {
+      return reject(spec::Rule::kTruncated, i, start,
+                    std::string("op encoding runs past the end of the buffer (") + what + ")");
+    };
     if (off >= wire.size()) {
-      return std::nullopt;
+      return truncated("opcode");
     }
     Op op;
     op.node_type = wire[off++];
-    if (op.node_type == kSnapshotOpcode) {
+    if (op.is_snapshot()) {
       prog.ops.push_back(std::move(op));
       continue;
     }
-    if (op.node_type >= spec.node_type_count()) {
-      return std::nullopt;
-    }
     if (off >= wire.size()) {
-      return std::nullopt;
+      return truncated("operand count");
     }
     const uint8_t argc = wire[off++];
-    const NodeTypeDef& node = spec.node_type(op.node_type);
-    if (argc != node.borrows.size() + node.consumes.size()) {
-      return std::nullopt;
+    if (off + 2 * static_cast<size_t>(argc) > wire.size()) {
+      return truncated("operands");
     }
     for (uint8_t a = 0; a < argc; a++) {
-      if (off + 2 > wire.size()) {
-        return std::nullopt;
-      }
       op.args.push_back(ReadLe16(wire, off));
       off += 2;
     }
+    if (off + 4 > wire.size()) {
+      return truncated("data length");
+    }
     const uint32_t len = ReadLe32(wire, off);
     off += 4;
-    if (len > kMaxOpDataBytes || off + len > wire.size()) {
-      return std::nullopt;
+    if (len > kMaxOpDataBytes) {
+      return reject(spec::Rule::kOversizeData, i, start,
+                    "encoded data length " + std::to_string(len) + " exceeds the wire limit");
     }
-    if (node.data == DataKind::kNone && len != 0) {
-      return std::nullopt;
+    if (off + len > wire.size()) {
+      return truncated("data bytes");
     }
     op.data.assign(wire.begin() + static_cast<long>(off),
                    wire.begin() + static_cast<long>(off + len));
@@ -145,56 +124,20 @@ std::optional<Program> Program::Parse(const Bytes& wire, const Spec& spec) {
     prog.ops.push_back(std::move(op));
   }
   if (off != wire.size()) {
+    out.Add({spec::Rule::kTrailingBytes, count, off,
+             std::to_string(wire.size() - off) + " bytes after the last op"});
+  }
+  for (spec::Diag& d : spec::Verify(prog, spec).diags) {
+    out.Add(std::move(d));
+  }
+  if (!out.ok()) {
     return std::nullopt;
   }
   return prog;
 }
 
-bool Program::Validate(const Spec& spec, std::string* error) const {
-  ValueTracker tracker;
-  auto fail = [&](const std::string& msg) {
-    if (error != nullptr) {
-      *error = msg;
-    }
-    return false;
-  };
-  size_t snapshots = 0;
-  for (size_t i = 0; i < ops.size(); i++) {
-    const Op& op = ops[i];
-    if (op.is_snapshot()) {
-      if (++snapshots > 1) {
-        return fail("more than one snapshot marker");
-      }
-      continue;
-    }
-    if (op.node_type >= spec.node_type_count()) {
-      return fail("unknown node type");
-    }
-    const NodeTypeDef& node = spec.node_type(op.node_type);
-    if (op.args.size() != node.borrows.size() + node.consumes.size()) {
-      return fail("arity mismatch in op " + std::to_string(i));
-    }
-    size_t arg = 0;
-    for (int edge : node.borrows) {
-      if (!tracker.IsLive(op.args[arg], edge)) {
-        return fail("op " + std::to_string(i) + " borrows dead/ill-typed value");
-      }
-      arg++;
-    }
-    for (int edge : node.consumes) {
-      if (!tracker.IsLive(op.args[arg], edge)) {
-        return fail("op " + std::to_string(i) + " consumes dead/ill-typed value");
-      }
-      tracker.Kill(op.args[arg]);
-      arg++;
-    }
-    tracker.Produce(node);
-  }
-  return true;
-}
-
 void Program::Repair(const Spec& spec) {
-  ValueTracker tracker;
+  spec::ValueTable table;
   // Kept ops move down to `kept` in place, so the ops vector and the kept
   // ops' buffers are reused rather than rebuilt.
   size_t kept = 0;
@@ -204,10 +147,30 @@ void Program::Repair(const Spec& spec) {
     }
     kept++;
   };
+  // Binds operand `arg` to a live value of `edge`: its own if that is live,
+  // else the latest one. False when there is none.
+  auto bind = [&](Op& op, size_t arg, int edge) {
+    if (table.IsLive(op.args[arg], edge)) {
+      return true;
+    }
+    const std::optional<uint16_t> candidate = table.LatestLive(edge);
+    if (candidate.has_value()) {
+      op.args[arg] = *candidate;
+    }
+    return candidate.has_value();
+  };
   bool seen_snapshot = false;
   for (Op& op : ops) {
+    if (kept == kMaxProgramOps) {
+      break;
+    }
     if (op.is_snapshot()) {
-      if (!seen_snapshot) {
+      // The only marker position the verifier accepts: directly after a
+      // packet op, and only once.
+      const bool after_packet = kept > 0 && !ops[kept - 1].is_snapshot() &&
+                                spec.node_type(ops[kept - 1].node_type).semantic ==
+                                    NodeSemantic::kPacket;
+      if (!seen_snapshot && after_packet) {
         seen_snapshot = true;
         keep(op);
       }
@@ -219,32 +182,24 @@ void Program::Repair(const Spec& spec) {
     const NodeTypeDef& node = spec.node_type(op.node_type);
     op.args.resize(node.borrows.size() + node.consumes.size(), 0);
     bool ok = true;
-    size_t arg = 0;
-    for (int edge : node.borrows) {
-      if (!tracker.IsLive(op.args[arg], edge)) {
-        auto candidate = tracker.LatestLive(edge);
-        if (!candidate.has_value()) {
-          ok = false;
-          break;
-        }
-        op.args[arg] = *candidate;
-      }
-      arg++;
+    for (size_t b = 0; ok && b < node.borrows.size(); b++) {
+      ok = bind(op, b, node.borrows[b]);
     }
-    if (ok) {
-      for (int edge : node.consumes) {
-        if (!tracker.IsLive(op.args[arg], edge)) {
-          auto candidate = tracker.LatestLive(edge);
-          if (!candidate.has_value()) {
-            ok = false;
-            break;
-          }
-          op.args[arg] = *candidate;
-        }
-        arg++;
+    // A consumed value dies at once, so a second consume of the same type
+    // cannot bind to it; if the op is dropped, its consumes live again.
+    size_t consumed = 0;
+    while (ok && consumed < node.consumes.size()) {
+      const size_t arg = node.borrows.size() + consumed;
+      ok = bind(op, arg, node.consumes[consumed]);
+      if (ok) {
+        table.Kill(op.args[arg]);
+        consumed++;
       }
     }
     if (!ok) {
+      for (size_t c = 0; c < consumed; c++) {
+        table.values[op.args[node.borrows.size() + c]].live = true;
+      }
       continue;  // no live value of the required type: drop the op
     }
     // Scalar payloads have an exact wire width; havoc mutations and
@@ -264,6 +219,9 @@ void Program::Repair(const Spec& spec) {
         op.data.clear();
         break;
       case DataKind::kBytes:
+        if (op.data.size() > kMaxOpDataBytes) {
+          op.data.resize(kMaxOpDataBytes);
+        }
         break;
     }
     // Fault payloads additionally carry semantic range rules (valid kind,
@@ -271,18 +229,14 @@ void Program::Repair(const Spec& spec) {
     if (node.semantic == NodeSemantic::kFault) {
       op.data = FaultPlan::Sanitize(op.data).Encode();
     }
-    arg = node.borrows.size();
-    for (size_t c = 0; c < node.consumes.size(); c++) {
-      tracker.Kill(op.args[arg + c]);
-    }
-    tracker.Produce(node);
+    table.Produce(node);
     keep(op);
   }
   ops.resize(kept);
 }
 
 std::vector<uint16_t> Program::LiveValues(const Spec& spec, size_t at, int edge_type) const {
-  ValueTracker tracker;
+  spec::ValueTable table;
   const size_t end = std::min(at, ops.size());
   for (size_t i = 0; i < end; i++) {
     const Op& op = ops[i];
@@ -292,16 +246,16 @@ std::vector<uint16_t> Program::LiveValues(const Spec& spec, size_t at, int edge_
     const NodeTypeDef& node = spec.node_type(op.node_type);
     if (op.args.size() == node.borrows.size() + node.consumes.size()) {
       for (size_t c = node.borrows.size(); c < op.args.size(); c++) {
-        if (op.args[c] < tracker.values.size()) {
-          tracker.Kill(op.args[c]);
+        if (op.args[c] < table.values.size()) {
+          table.Kill(op.args[c]);
         }
       }
     }
-    tracker.Produce(node);
+    table.Produce(node);
   }
   std::vector<uint16_t> live;
-  for (size_t id = 0; id < tracker.values.size(); id++) {
-    if (tracker.values[id].live && tracker.values[id].edge_type == edge_type) {
+  for (size_t id = 0; id < table.values.size(); id++) {
+    if (table.values[id].live && table.values[id].edge_type == edge_type) {
       live.push_back(static_cast<uint16_t>(id));
     }
   }

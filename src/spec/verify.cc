@@ -9,83 +9,32 @@ namespace spec {
 
 namespace {
 
-// A malformed op can cascade (every later use of its would-be outputs is
-// unbound); cap the report so a corrupt 4k-op program stays readable.
-constexpr size_t kMaxDiags = 32;
-
-// Serialize() layout: magic(4) version(1) op-count(2).
-constexpr size_t kHeaderBytes = 7;
-
-size_t OpWireSize(const Op& op) {
-  if (op.is_snapshot()) {
-    return 1;
-  }
-  return 1 + 1 + op.args.size() * 2 + 4 + op.data.size();
-}
-
-class DiagSink {
- public:
-  explicit DiagSink(Result& out) : out_(out) {}
-
-  void Add(Rule rule, size_t op_index, size_t byte_offset, std::string message) {
-    if (out_.diags.size() < kMaxDiags) {
-      out_.diags.push_back(Diag{rule, op_index, byte_offset, std::move(message)});
-    }
-  }
-
- private:
-  Result& out_;
-};
-
-// Live-value state for the affine pass. Unlike program.cc's ValueTracker
-// (which only answers "usable or not"), this distinguishes unbound ids,
-// type mismatches and use-after-consume so each gets its own rule.
-struct AffineTracker {
-  struct Value {
-    int edge_type;
-    bool live;
-  };
-  std::vector<Value> values;
-
-  enum class Use { kOk, kUnbound, kWrongType, kDead };
-
-  Use Check(uint16_t id, int edge_type) const {
-    if (id >= values.size()) {
-      return Use::kUnbound;
-    }
-    if (values[id].edge_type != edge_type) {
-      return Use::kWrongType;
-    }
-    return values[id].live ? Use::kOk : Use::kDead;
-  }
-};
-
-void CheckArgs(const Op& op, const NodeTypeDef& node, AffineTracker& tracker, size_t op_index,
-               size_t byte_offset, DiagSink& sink) {
+void CheckArgs(const Op& op, const NodeTypeDef& node, ValueTable& table, size_t op_index,
+               size_t byte_offset, Result& out) {
   size_t arg = 0;
   auto check_use = [&](int edge, bool consume) {
     const uint16_t id = op.args[arg];
-    switch (tracker.Check(id, edge)) {
-      case AffineTracker::Use::kOk:
+    switch (table.Check(id, edge)) {
+      case ValueTable::Use::kOk:
         if (consume) {
-          tracker.values[id].live = false;
+          table.Kill(id);
         }
         break;
-      case AffineTracker::Use::kUnbound:
-        sink.Add(Rule::kUnboundOperand, op_index, byte_offset,
+      case ValueTable::Use::kUnbound:
+        out.Add({Rule::kUnboundOperand, op_index, byte_offset,
                  "operand " + std::to_string(arg) + " references value " + std::to_string(id) +
-                     " which no earlier op produced");
+                     " which no earlier op produced"});
         break;
-      case AffineTracker::Use::kWrongType:
-        sink.Add(Rule::kTypeMismatch, op_index, byte_offset,
+      case ValueTable::Use::kWrongType:
+        out.Add({Rule::kTypeMismatch, op_index, byte_offset,
                  "operand " + std::to_string(arg) + " expects edge type " + std::to_string(edge) +
                      " but value " + std::to_string(id) + " has type " +
-                     std::to_string(tracker.values[id].edge_type));
+                     std::to_string(table.values[id].edge_type)});
         break;
-      case AffineTracker::Use::kDead:
-        sink.Add(Rule::kUseAfterConsume, op_index, byte_offset,
+      case ValueTable::Use::kDead:
+        out.Add({Rule::kUseAfterConsume, op_index, byte_offset,
                  std::string(consume ? "consumes" : "borrows") + " value " + std::to_string(id) +
-                     " which an earlier op already consumed");
+                     " which an earlier op already consumed"});
         break;
     }
     arg++;
@@ -99,13 +48,13 @@ void CheckArgs(const Op& op, const NodeTypeDef& node, AffineTracker& tracker, si
 }
 
 void CheckData(const Op& op, const NodeTypeDef& node, size_t op_index, size_t byte_offset,
-               DiagSink& sink) {
+               Result& out) {
   switch (node.data) {
     case DataKind::kNone:
       if (!op.data.empty()) {
-        sink.Add(Rule::kDataOnDatalessNode, op_index, byte_offset,
+        out.Add({Rule::kDataOnDatalessNode, op_index, byte_offset,
                  "node carries no payload but op has " + std::to_string(op.data.size()) +
-                     " data bytes");
+                     " data bytes"});
       }
       return;
     case DataKind::kU8:
@@ -113,90 +62,19 @@ void CheckData(const Op& op, const NodeTypeDef& node, size_t op_index, size_t by
     case DataKind::kU32: {
       const size_t want = node.data == DataKind::kU8 ? 1 : node.data == DataKind::kU16 ? 2 : 4;
       if (op.data.size() != want) {
-        sink.Add(Rule::kScalarDataWidth, op_index, byte_offset,
+        out.Add({Rule::kScalarDataWidth, op_index, byte_offset,
                  "scalar payload must be exactly " + std::to_string(want) + " bytes, got " +
-                     std::to_string(op.data.size()));
+                     std::to_string(op.data.size())});
       }
       return;
     }
     case DataKind::kBytes:
       if (op.data.size() > kMaxOpDataBytes) {
-        sink.Add(Rule::kOversizeData, op_index, byte_offset,
+        out.Add({Rule::kOversizeData, op_index, byte_offset,
                  "payload of " + std::to_string(op.data.size()) +
-                     " bytes exceeds the wire limit of " + std::to_string(kMaxOpDataBytes));
+                     " bytes exceeds the wire limit of " + std::to_string(kMaxOpDataBytes)});
       }
       return;
-  }
-}
-
-// The structural pass shared by Verify and VerifyWire. `offsets` carries the
-// wire offset of each op when verifying a decoded buffer; when null the
-// offsets are computed as Serialize() would lay the ops out.
-void VerifyOps(const Program& program, const Spec& spec, const std::vector<size_t>* offsets,
-               Result& out) {
-  DiagSink sink(out);
-  if (program.ops.size() > kMaxProgramOps) {
-    sink.Add(Rule::kTooManyOps, 0, 0,
-             std::to_string(program.ops.size()) + " ops exceed the limit of " +
-                 std::to_string(kMaxProgramOps));
-  }
-
-  AffineTracker tracker;
-  bool snapshot_seen = false;
-  size_t running_offset = kHeaderBytes;
-  for (size_t i = 0; i < program.ops.size(); i++) {
-    const Op& op = program.ops[i];
-    const size_t off = offsets != nullptr ? (*offsets)[i] : running_offset;
-    running_offset += OpWireSize(op);
-
-    if (op.is_snapshot()) {
-      if (snapshot_seen) {
-        sink.Add(Rule::kDuplicateSnapshotMarker, i, off, "second snapshot marker");
-      }
-      snapshot_seen = true;
-      const bool after_packet =
-          i > 0 && !program.ops[i - 1].is_snapshot() &&
-          program.ops[i - 1].node_type < spec.node_type_count() &&
-          spec.node_type(program.ops[i - 1].node_type).semantic == NodeSemantic::kPacket;
-      if (!after_packet) {
-        sink.Add(Rule::kSnapshotPlacement, i, off,
-                 "snapshot marker must directly follow a packet op");
-      }
-      continue;
-    }
-
-    if (op.node_type >= spec.node_type_count()) {
-      sink.Add(Rule::kUnknownOpcode, i, off,
-               "opcode " + std::to_string(op.node_type) + " not in spec (" +
-                   std::to_string(spec.node_type_count()) + " node types)");
-      continue;
-    }
-    const NodeTypeDef& node = spec.node_type(op.node_type);
-    if (op.args.size() != node.borrows.size() + node.consumes.size()) {
-      sink.Add(Rule::kArityMismatch, i, off,
-               "'" + node.name + "' takes " +
-                   std::to_string(node.borrows.size() + node.consumes.size()) +
-                   " operands, got " + std::to_string(op.args.size()));
-    } else {
-      CheckArgs(op, node, tracker, i, off, sink);
-    }
-    CheckData(op, node, i, off, sink);
-    // Fault plans get a semantic check on top of the width check: the kind
-    // must exist and the burst count must be bounded, or NetEmu's replay
-    // would have to guess (well-formedness is part of determinism here).
-    if (node.semantic == NodeSemantic::kFault && op.data.size() == 4 &&
-        !FaultPlan::Decode(op.data).has_value()) {
-      sink.Add(Rule::kFaultPlan, i, off,
-               "fault plan kind " + std::to_string(op.data[0]) + " / burst " +
-                   std::to_string(op.data[1]) + " out of range (kinds < " +
-                   std::to_string(kFaultKindCount) + ", burst 1.." +
-                   std::to_string(kMaxFaultBurst) + ")");
-    }
-    // Produce outputs even after a diagnosed op so later value ids line up
-    // with what the builder would have assigned.
-    for (int edge : node.outputs) {
-      tracker.values.push_back({edge, true});
-    }
   }
 }
 
@@ -221,6 +99,12 @@ const char* RuleName(Rule rule) {
     case Rule::kTrailingBytes: return "trailing-bytes";
   }
   return "unknown-rule";
+}
+
+void Result::Add(Diag diag) {
+  if (diags.size() < kMaxDiags) {
+    diags.push_back(std::move(diag));
+  }
 }
 
 bool Result::Has(Rule rule) const {
@@ -250,91 +134,67 @@ std::string Result::Summary() const {
 
 Result Verify(const Program& program, const Spec& spec) {
   Result out;
-  VerifyOps(program, spec, nullptr, out);
-  return out;
-}
+  if (program.ops.size() > kMaxProgramOps) {
+    out.Add({Rule::kTooManyOps, 0, 0,
+             std::to_string(program.ops.size()) + " ops exceed the limit of " +
+                 std::to_string(kMaxProgramOps)});
+  }
 
-Result VerifyWire(const Bytes& wire, const Spec& spec) {
-  Result out;
-  DiagSink sink(out);
-  if (wire.size() < kHeaderBytes) {
-    sink.Add(Rule::kBadHeader, 0, 0,
-             "buffer of " + std::to_string(wire.size()) + " bytes is smaller than the header");
-    return out;
-  }
-  if (ReadLe32(wire, 0) != kWireMagic) {
-    sink.Add(Rule::kBadHeader, 0, 0, "bad magic");
-    return out;
-  }
-  if (wire[4] != kWireVersion) {
-    sink.Add(Rule::kBadHeader, 0, 4, "unsupported version " + std::to_string(wire[4]));
-    return out;
-  }
-  const uint16_t count = ReadLe16(wire, 5);
+  ValueTable table;
+  bool snapshot_seen = false;
+  size_t next_offset = kWireHeaderBytes;
+  for (size_t i = 0; i < program.ops.size(); i++) {
+    const Op& op = program.ops[i];
+    const size_t off = next_offset;
+    next_offset += op.WireSize();
 
-  // Lenient decode: each op's encoding must begin where the previous one
-  // ended and fit in the buffer (boundary monotonicity); semantic rules are
-  // left to the structural pass so they get their precise rule ids.
-  Program decoded;
-  std::vector<size_t> offsets;
-  size_t off = kHeaderBytes;
-  for (uint16_t i = 0; i < count; i++) {
-    const size_t start = off;
-    auto truncated = [&](const char* what) {
-      sink.Add(Rule::kTruncated, i, start,
-               std::string("op encoding runs past the end of the buffer (") + what + ")");
-    };
-    if (off >= wire.size()) {
-      truncated("opcode");
-      return out;
-    }
-    Op op;
-    op.node_type = wire[off++];
     if (op.is_snapshot()) {
-      decoded.ops.push_back(std::move(op));
-      offsets.push_back(start);
+      if (snapshot_seen) {
+        out.Add({Rule::kDuplicateSnapshotMarker, i, off, "second snapshot marker"});
+      }
+      snapshot_seen = true;
+      const bool after_packet =
+          i > 0 && !program.ops[i - 1].is_snapshot() &&
+          program.ops[i - 1].node_type < spec.node_type_count() &&
+          spec.node_type(program.ops[i - 1].node_type).semantic == NodeSemantic::kPacket;
+      if (!after_packet) {
+        out.Add({Rule::kSnapshotPlacement, i, off,
+                 "snapshot marker must directly follow a packet op"});
+      }
       continue;
     }
-    if (off >= wire.size()) {
-      truncated("operand count");
-      return out;
-    }
-    const uint8_t argc = wire[off++];
-    if (off + 2 * static_cast<size_t>(argc) > wire.size()) {
-      truncated("operands");
-      return out;
-    }
-    for (uint8_t a = 0; a < argc; a++) {
-      op.args.push_back(ReadLe16(wire, off));
-      off += 2;
-    }
-    if (off + 4 > wire.size()) {
-      truncated("data length");
-      return out;
-    }
-    const uint32_t len = ReadLe32(wire, off);
-    off += 4;
-    if (len > kMaxOpDataBytes) {
-      sink.Add(Rule::kOversizeData, i, start,
-               "encoded data length " + std::to_string(len) + " exceeds the wire limit");
-      return out;
-    }
-    if (off + len > wire.size()) {
-      truncated("data bytes");
-      return out;
-    }
-    op.data.assign(wire.begin() + static_cast<long>(off),
-                   wire.begin() + static_cast<long>(off + len));
-    off += len;
-    decoded.ops.push_back(std::move(op));
-    offsets.push_back(start);
-  }
-  if (off != wire.size()) {
-    sink.Add(Rule::kTrailingBytes, count, off,
-             std::to_string(wire.size() - off) + " bytes after the last op");
-  }
 
-  VerifyOps(decoded, spec, &offsets, out);
+    if (op.node_type >= spec.node_type_count()) {
+      out.Add({Rule::kUnknownOpcode, i, off,
+               "opcode " + std::to_string(op.node_type) + " not in spec (" +
+                   std::to_string(spec.node_type_count()) + " node types)"});
+      continue;
+    }
+    const NodeTypeDef& node = spec.node_type(op.node_type);
+    if (op.args.size() != node.borrows.size() + node.consumes.size()) {
+      out.Add({Rule::kArityMismatch, i, off,
+               "'" + node.name + "' takes " +
+                   std::to_string(node.borrows.size() + node.consumes.size()) +
+                   " operands, got " + std::to_string(op.args.size())});
+    } else {
+      CheckArgs(op, node, table, i, off, out);
+    }
+    CheckData(op, node, i, off, out);
+    // Fault plans get a semantic check on top of the width check: the kind
+    // must exist and the burst count must be bounded, or NetEmu's replay
+    // would have to guess (well-formedness is part of determinism here).
+    if (node.semantic == NodeSemantic::kFault && op.data.size() == 4 &&
+        !FaultPlan::Decode(op.data).has_value()) {
+      out.Add({Rule::kFaultPlan, i, off,
+               "fault plan kind " + std::to_string(op.data[0]) + " / burst " +
+                   std::to_string(op.data[1]) + " out of range (kinds < " +
+                   std::to_string(kFaultKindCount) + ", burst 1.." +
+                   std::to_string(kMaxFaultBurst) + ")"});
+    }
+    // Produce outputs even after a diagnosed op so later value ids line up
+    // with what the builder would have assigned.
+    table.Produce(node);
+  }
   return out;
 }
 

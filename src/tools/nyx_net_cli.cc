@@ -19,8 +19,8 @@
 //       Minimize one input while preserving its coverage fingerprint
 //       (afl-tmin-style reverse sweep over dependency cones).
 //   nyx-net verify DIR --target NAME
-//       Batch-check every .nyx file in DIR against the wire verifier and
-//       the parser. Exits nonzero if any file fails either.
+//       Batch-check every .nyx file in DIR with the verifying decoder
+//       (Program::Parse). Exits 1 if any file fails, 2 if DIR holds none.
 //   nyx-net mario --level 1-1 [--policy ...] [--wall SECONDS] [--seed N]
 //       Solve a Super Mario level (section 5.3).
 //
@@ -29,9 +29,6 @@
 // that does not parse whole (--vtime and --wall take positive numbers,
 // --seed, --vm-pages and --port unsigned integers).
 
-#include <dirent.h>
-
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -418,9 +415,9 @@ int CmdTrim(const Args& args) {
   return stats.audit_divergences == 0 ? 0 : 1;
 }
 
-// Batch static verification over a corpus directory. Unlike ReadProgram
-// (which verifies and logs) this surfaces the full per-file verdict, so it
-// doubles as a corpus linter.
+// Batch static verification over a corpus directory. Unlike a corpus load
+// (which logs a rejected file and skips it) this surfaces the full
+// per-file verdict, so it doubles as a corpus linter.
 int CmdVerify(const std::string& dir, const Args& args) {
   auto reg = FindTarget(args.Get("target"));
   if (!reg.has_value()) {
@@ -429,20 +426,7 @@ int CmdVerify(const std::string& dir, const Args& args) {
   }
   const Spec spec = reg->make_spec();
 
-  std::vector<std::string> files;
-  if (DIR* d = opendir(dir.c_str())) {
-    while (struct dirent* e = readdir(d)) {
-      const std::string name = e->d_name;
-      if (name.size() > 4 && name.compare(name.size() - 4, 4, ".nyx") == 0) {
-        files.push_back(dir + "/" + name);
-      }
-    }
-    closedir(d);
-  } else {
-    fprintf(stderr, "cannot open directory %s\n", dir.c_str());
-    return 2;
-  }
-  std::sort(files.begin(), files.end());
+  const std::vector<std::string> files = Workdir::ListFiles(dir, ".nyx");
   if (files.empty()) {
     fprintf(stderr, "no .nyx files in %s\n", dir.c_str());
     return 2;
@@ -450,35 +434,18 @@ int CmdVerify(const std::string& dir, const Args& args) {
 
   size_t failures = 0;
   for (const std::string& file : files) {
-    FILE* f = fopen(file.c_str(), "rb");
-    if (f == nullptr) {
+    spec::Result verdict;
+    const std::optional<Program> program = Workdir::ReadProgram(file, spec, &verdict);
+    if (program.has_value()) {
+      printf("%-40s ok   ops=%zu\n", file.c_str(), program->ops.size());
+      continue;
+    }
+    failures++;
+    if (verdict.ok()) {
       printf("%-40s FAIL (unreadable)\n", file.c_str());
-      failures++;
-      continue;
-    }
-    Bytes wire;
-    uint8_t buf[4096];
-    size_t n;
-    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) {
-      wire.insert(wire.end(), buf, buf + n);
-    }
-    fclose(f);
-
-    const spec::Result verdict = spec::VerifyWire(wire, spec);
-    if (!verdict.ok()) {
+    } else {
       printf("%-40s FAIL %s\n", file.c_str(), verdict.Summary().c_str());
-      failures++;
-      continue;
     }
-    auto program = Program::Parse(wire, spec);
-    if (!program.has_value()) {
-      // VerifyWire passed but Parse refused: that is a checker/parser
-      // disagreement worth failing loudly on.
-      printf("%-40s FAIL verified wire did not parse\n", file.c_str());
-      failures++;
-      continue;
-    }
-    printf("%-40s ok   ops=%zu\n", file.c_str(), program->ops.size());
   }
   printf("%zu file(s), %zu failure(s)\n", files.size(), failures);
   return failures == 0 ? 0 : 1;

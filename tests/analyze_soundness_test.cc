@@ -17,6 +17,7 @@
 #include "src/fuzz/trim.h"
 #include "src/spec/program.h"
 #include "src/spec/spec.h"
+#include "src/spec/verify.h"
 #include "src/targets/registry.h"
 
 namespace nyx {
@@ -93,7 +94,7 @@ TEST_P(AnalyzeSoundnessTest, TrimPreservesCoverageAndRepliesAuditClean) {
 
     TrimStats stats;
     const Program trimmed = TrimProgram(engine, spec, p, &stats);
-    EXPECT_TRUE(trimmed.Validate(spec)) << "trial " << trial;
+    EXPECT_TRUE(spec::Verify(trimmed, spec).ok()) << "trial " << trial;
     EXPECT_LE(stats.ops_after, stats.ops_before) << "trial " << trial;
     EXPECT_EQ(stats.ops_after, trimmed.ops.size()) << "trial " << trial;
     EXPECT_EQ(stats.audit_divergences, 0u) << GetParam() << " trial " << trial;

@@ -15,6 +15,7 @@
 #include "src/spec/fault_plan.h"
 #include "src/spec/program.h"
 #include "src/spec/spec.h"
+#include "src/spec/verify.h"
 
 namespace nyx {
 namespace {
@@ -145,7 +146,7 @@ TEST(AnalyzeTest, LiveValuesInTheMiddleOfAMutation) {
   p.ops.push_back(op(kConnect, {}));       // value 2 (conn)
   p.ops.push_back(op(kLogout, {7}));       // id not produced yet: nothing dies
   p.ops.push_back(op(kLogout, {0}));       // consumes a conn as a session
-  ASSERT_FALSE(p.Validate(spec));
+  ASSERT_FALSE(spec::Verify(p, spec).ok());
 
   EXPECT_EQ(p.LiveValues(spec, 3, session), (std::vector<uint16_t>{1}));
   EXPECT_EQ(p.LiveValues(spec, 5, conn), (std::vector<uint16_t>{0, 2}));
@@ -252,7 +253,7 @@ TEST(AnalyzeTest, RemovalConeCoversTransitiveUses) {
 
   // c1 stays because its use stays, renumbered 1 -> 0.
   ASSERT_EQ(trimmed.ops.size(), 2u);
-  EXPECT_TRUE(trimmed.Validate(spec));
+  EXPECT_TRUE(spec::Verify(trimmed, spec).ok());
   EXPECT_EQ(trimmed.ops[0].node_type, p.ops[1].node_type);
   EXPECT_EQ(trimmed.ops[1].node_type, p.ops[4].node_type);
   EXPECT_EQ(trimmed.ops[1].args, (std::vector<uint16_t>{0}));

@@ -6,6 +6,7 @@
 
 #include "src/fuzz/engine.h"
 #include "src/spec/builder.h"
+#include "src/spec/verify.h"
 #include "src/targets/registry.h"
 
 namespace nyx {
@@ -115,6 +116,17 @@ TEST_F(EngineTest, IncrementalSnapshotReuseSkipsPrefix) {
   }
   EXPECT_TRUE(saw_pwd_tmp);
   EXPECT_EQ(engine_.vm_stats().incremental_restores, 1u);
+
+  // The resumed exec ends where a full run from the root ends. Edge maps
+  // are not compared: a resumed trace covers only the suffix.
+  const NetEmu::State resumed_net = engine_.net().state();
+  const std::vector<Bytes> resumed_responses = engine_.LastResponses();
+  engine_.DropIncremental();
+  CoverageMap full_cov;
+  ExecResult full = engine_.Run(p2, full_cov);
+  EXPECT_FALSE(full.used_incremental);
+  EXPECT_EQ(engine_.net().state(), resumed_net);
+  EXPECT_EQ(engine_.LastResponses(), resumed_responses);
 }
 
 TEST_F(EngineTest, IncrementalReuseIsFasterThanFullRun) {
@@ -154,7 +166,7 @@ TEST_F(EngineTest, DifferentPrefixInvalidatesIncremental) {
   other_data.InsertSnapshotAfterPacket(spec_, 3);
   Program other_conn = plain;
   other_conn.ops[packets[1]].args[0] = 1;  // the second connection's value id
-  ASSERT_TRUE(other_conn.Validate(spec_));
+  ASSERT_TRUE(spec::Verify(other_conn, spec_).ok());
   other_conn.InsertSnapshotAfterPacket(spec_, 3);
   Program later_marker = plain;
   later_marker.InsertSnapshotAfterPacket(spec_, 4);

@@ -6,6 +6,7 @@
 
 #include "src/fuzz/fuzzer.h"
 #include "src/spec/builder.h"
+#include "src/spec/verify.h"
 #include "src/targets/registry.h"
 
 namespace nyx {
@@ -110,7 +111,7 @@ TEST(MutatorTest, NeverTouchesPrefix) {
   for (int trial = 0; trial < 300; trial++) {
     Program mutated = seed;
     mutator.Mutate(mutated, {}, first_mutable);
-    ASSERT_TRUE(mutated.Validate(spec));
+    ASSERT_TRUE(spec::Verify(mutated, spec).ok());
     ASSERT_GE(mutated.ops.size(), first_mutable);
     for (size_t i = 0; i < first_mutable; i++) {
       ASSERT_EQ(mutated.ops[i].node_type, seed.ops[i].node_type) << "trial " << trial;

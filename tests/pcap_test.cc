@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/spec/pcap.h"
+#include "src/spec/verify.h"
 
 namespace nyx {
 namespace {
@@ -162,7 +163,7 @@ TEST(PcapSeedTest, EndToEndTcpCrlf) {
   Spec spec = Spec::GenericNetwork();
   auto prog = ProgramFromPcap(spec, raw, 21, SplitStrategy::kCrlf);
   ASSERT_TRUE(prog.has_value());
-  EXPECT_TRUE(prog->Validate(spec));
+  EXPECT_TRUE(spec::Verify(*prog, spec).ok());
   auto packets = prog->PacketOpIndices(spec);
   ASSERT_EQ(packets.size(), 2u);
   EXPECT_EQ(ToString(prog->ops[packets[0]].data), "USER anon\r\n");

@@ -1,5 +1,5 @@
 // Tests for the specification engine: spec construction, bytecode
-// serialization round trips, affine validation, repair, snapshot markers and
+// serialization round trips, affine checking, repair, snapshot markers and
 // the seed builder.
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include "src/spec/builder.h"
 #include "src/spec/program.h"
 #include "src/spec/spec.h"
+#include "src/spec/verify.h"
 
 namespace nyx {
 namespace {
@@ -61,7 +62,7 @@ TEST(BuilderTest, RecordsCallsInOrder) {
   ASSERT_EQ(p.ops.size(), 4u);
   EXPECT_EQ(spec.node_type(p.ops[0].node_type).semantic, NodeSemantic::kConnection);
   EXPECT_EQ(ToString(p.ops[2].data), "packet-1");
-  EXPECT_TRUE(p.Validate(spec));
+  EXPECT_TRUE(spec::Verify(p, spec).ok());
 }
 
 TEST(BuilderTest, UnknownNodeFailsBuild) {
@@ -89,7 +90,7 @@ TEST(BuilderTest, MultiConnectionSeed) {
   b.Close(c1);
   auto prog = b.Build();
   ASSERT_TRUE(prog.has_value());
-  EXPECT_TRUE(prog->Validate(spec));
+  EXPECT_TRUE(spec::Verify(*prog, spec).ok());
   EXPECT_EQ(prog->ops.size(), 5u);
 }
 
@@ -143,7 +144,7 @@ TEST(ProgramTest, ParseRejectsUnknownNodeType) {
   EXPECT_FALSE(Program::Parse(wire, spec).has_value());
 }
 
-TEST(ProgramTest, ValidateCatchesAffineViolations) {
+TEST(ProgramTest, VerifyCatchesAffineViolations) {
   Spec spec = Spec::MultiConnection();
   const uint8_t pkt = static_cast<uint8_t>(*spec.FindNodeType("pkt"));
   const uint8_t con = static_cast<uint8_t>(*spec.FindNodeType("connection"));
@@ -152,30 +153,30 @@ TEST(ProgramTest, ValidateCatchesAffineViolations) {
   // Borrow before production.
   Program bad1;
   bad1.ops.push_back(Op{pkt, {0}, ToBytes("x")});
-  EXPECT_FALSE(bad1.Validate(spec));
+  EXPECT_FALSE(spec::Verify(bad1, spec).ok());
 
   // Use after consume.
   Program bad2;
   bad2.ops.push_back(Op{con, {}, {}});
   bad2.ops.push_back(Op{close, {0}, {}});
   bad2.ops.push_back(Op{pkt, {0}, ToBytes("x")});
-  std::string err;
-  EXPECT_FALSE(bad2.Validate(spec, &err));
-  EXPECT_NE(err.find("borrows"), std::string::npos);
+  const spec::Result r2 = spec::Verify(bad2, spec);
+  EXPECT_FALSE(r2.ok());
+  EXPECT_NE(r2.Summary().find("borrows"), std::string::npos);
 
   // Double close.
   Program bad3;
   bad3.ops.push_back(Op{con, {}, {}});
   bad3.ops.push_back(Op{close, {0}, {}});
   bad3.ops.push_back(Op{close, {0}, {}});
-  EXPECT_FALSE(bad3.Validate(spec));
+  EXPECT_FALSE(spec::Verify(bad3, spec).ok());
 
   // Valid sequence passes.
   Program good;
   good.ops.push_back(Op{con, {}, {}});
   good.ops.push_back(Op{pkt, {0}, ToBytes("x")});
   good.ops.push_back(Op{close, {0}, {}});
-  EXPECT_TRUE(good.Validate(spec));
+  EXPECT_TRUE(spec::Verify(good, spec).ok());
 }
 
 TEST(ProgramTest, RepairFixesDanglingRefs) {
@@ -186,9 +187,9 @@ TEST(ProgramTest, RepairFixesDanglingRefs) {
   Program p;
   p.ops.push_back(Op{con, {}, {}});
   p.ops.push_back(Op{pkt, {42}, ToBytes("x")});  // dangling ref
-  EXPECT_FALSE(p.Validate(spec));
+  EXPECT_FALSE(spec::Verify(p, spec).ok());
   p.Repair(spec);
-  EXPECT_TRUE(p.Validate(spec));
+  EXPECT_TRUE(spec::Verify(p, spec).ok());
   ASSERT_EQ(p.ops.size(), 2u);
   EXPECT_EQ(p.ops[1].args[0], 0);  // rewired to the live connection
 }
@@ -214,7 +215,7 @@ TEST(ProgramTest, RepairDropsOpsWithNoCandidate) {
   q.ops.push_back(Op{pkt, {1}, ToBytes("b")});
   q.ops.push_back(Op{pkt, {7}, ToBytes("c")});  // dangling: rebound to value 1
   q.Repair(spec);
-  ASSERT_TRUE(q.Validate(spec));
+  ASSERT_TRUE(spec::Verify(q, spec).ok());
   const std::vector<Op> want = {
       Op{con, {}, {}},     Op{pkt, {0}, ToBytes("a")}, Op{close, {0}, {}},
       Op{con, {}, {}},     Op{pkt, {1}, ToBytes("b")}, Op{pkt, {1}, ToBytes("c")},
@@ -229,18 +230,56 @@ TEST(ProgramTest, RepairDropsOpsWithNoCandidate) {
 
 TEST(ProgramTest, RepairKeepsOnlyFirstSnapshotMarker) {
   Spec spec = Spec::GenericNetwork();
-  Program p = MakeSeed(spec, 2);
+  Program p = MakeSeed(spec, 2);  // connection, packet-0, packet-1
   Op marker;
   marker.node_type = kSnapshotOpcode;
-  p.ops.insert(p.ops.begin() + 1, marker);
-  p.ops.push_back(marker);
+  p.ops.insert(p.ops.begin() + 1, marker);  // after the connection: dropped
+  p.ops.insert(p.ops.begin() + 3, marker);  // after packet-0: kept
+  p.ops.push_back(marker);                  // a second marker: dropped
   p.Repair(spec);
-  EXPECT_TRUE(p.Validate(spec));
-  size_t markers = 0;
-  for (const Op& op : p.ops) {
-    markers += op.is_snapshot() ? 1 : 0;
+  EXPECT_TRUE(spec::Verify(p, spec).ok());
+  ASSERT_EQ(p.ops.size(), 4u);
+  EXPECT_EQ(p.SnapshotMarkerPos(), std::optional<size_t>(2));
+  EXPECT_EQ(ToString(p.ops[1].data), "packet-0");
+  EXPECT_EQ(ToString(p.ops[3].data), "packet-1");
+}
+
+TEST(ProgramTest, RepairMeetsTheWireLimits) {
+  Spec spec = Spec::GenericNetwork();
+  Program p = MakeSeed(spec, 1);
+  const Op small = p.ops[1];
+  p.ops[1].data.assign(kMaxOpDataBytes + 5, 'x');
+  while (p.ops.size() < kMaxProgramOps + 3) {
+    p.ops.push_back(small);
   }
-  EXPECT_EQ(markers, 1u);
+  ASSERT_FALSE(spec::Verify(p, spec).ok());
+  p.Repair(spec);
+  EXPECT_TRUE(spec::Verify(p, spec).ok());
+  // Cut at the op limit, and the payload truncated to the data limit.
+  EXPECT_EQ(p.ops.size(), kMaxProgramOps);
+  EXPECT_EQ(p.ops[1].data.size(), kMaxOpDataBytes);
+  EXPECT_EQ(p.ops.back(), small);
+}
+
+TEST(ProgramTest, RepairBindsEachConsumeToItsOwnValue) {
+  // A node that consumes two values of one edge type: its operands may not
+  // bind to the same value, or the op would consume it twice.
+  Spec spec;
+  const int e_con = spec.AddEdgeType("conn");
+  spec.AddNodeType(NodeTypeDef{"connection", NodeSemantic::kConnection, {e_con}, {}, {},
+                               DataKind::kNone});
+  spec.AddNodeType(NodeTypeDef{"bridge", NodeSemantic::kCustom, {}, {}, {e_con, e_con},
+                               DataKind::kNone});
+  Program p;
+  p.ops.push_back(Op{0, {}, {}});      // value 0
+  p.ops.push_back(Op{1, {0, 9}, {}});  // one live value only: dropped, value 0 lives on
+  p.ops.push_back(Op{0, {}, {}});      // value 1
+  p.ops.push_back(Op{1, {9, 9}, {}});  // rebound to values 1 and 0
+  p.ops.push_back(Op{1, {0, 1}, {}});  // both consumed already: dropped
+  p.Repair(spec);
+  EXPECT_TRUE(spec::Verify(p, spec).ok()) << spec::Verify(p, spec).Summary();
+  const std::vector<Op> want = {Op{0, {}, {}}, Op{0, {}, {}}, Op{1, {1, 0}, {}}};
+  EXPECT_EQ(p.ops, want);
 }
 
 TEST(ProgramTest, PacketIndicesAndSnapshotInsertion) {
@@ -309,7 +348,7 @@ TEST_P(ProgramPropertyTest, RandomProgramRoundTrip) {
   auto parsed = Program::Parse(wire, spec);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->Serialize(), wire);
-  EXPECT_TRUE(parsed->Validate(spec));
+  EXPECT_TRUE(spec::Verify(*parsed, spec).ok());
 }
 
 TEST_P(ProgramPropertyTest, FuzzedWireNeverCrashes) {
@@ -323,8 +362,8 @@ TEST_P(ProgramPropertyTest, FuzzedWireNeverCrashes) {
     }
     auto parsed = Program::Parse(junk, spec);  // must not crash or UB
     if (parsed.has_value()) {
-      parsed->Repair(spec);
-      EXPECT_TRUE(parsed->Validate(spec));
+      EXPECT_TRUE(spec::Verify(*parsed, spec).ok());
+      EXPECT_EQ(parsed->Serialize(), junk);
     }
   }
 }
@@ -352,8 +391,8 @@ TEST_P(ProgramPropertyTest, RepairAlwaysYieldsValid) {
       p.ops.push_back(std::move(op));
     }
     p.Repair(spec);
-    std::string err;
-    EXPECT_TRUE(p.Validate(spec, &err)) << err;
+    const spec::Result verdict = spec::Verify(p, spec);
+    EXPECT_TRUE(verdict.ok()) << verdict.Summary();
   }
 }
 
@@ -361,8 +400,8 @@ TEST_P(ProgramPropertyTest, RepairAlwaysYieldsValid) {
 // them — random byte overwrites, single bit flips, truncations, splices.
 // Corruptions of valid wire explore much deeper parser states than pure junk
 // blobs (magic and version match, so the op loop actually runs). The parser
-// must never crash; anything it does accept must re-serialize cleanly and be
-// repairable to a Validate-clean program.
+// must never crash; anything it does accept must be Verify-clean and
+// re-serialize to the same bytes.
 TEST_P(ProgramPropertyTest, CorruptedWireNeverCrashes) {
   Rng rng(GetParam() ^ 0x70736575);
   for (const Spec& spec : {Spec::GenericNetwork(), Spec::MultiConnection()}) {
@@ -399,12 +438,9 @@ TEST_P(ProgramPropertyTest, CorruptedWireNeverCrashes) {
       }
       auto parsed = Program::Parse(wire, spec);  // must not crash or UB
       if (parsed.has_value()) {
-        // Accepted wire must be internally consistent: re-serialization
-        // parses again, and Repair reaches a Validate-clean program.
-        EXPECT_TRUE(Program::Parse(parsed->Serialize(), spec).has_value());
-        parsed->Repair(spec);
-        std::string err;
-        EXPECT_TRUE(parsed->Validate(spec, &err)) << err;
+        const spec::Result verdict = spec::Verify(*parsed, spec);
+        EXPECT_TRUE(verdict.ok()) << verdict.Summary();
+        EXPECT_EQ(parsed->Serialize(), wire);
       }
     }
   }

@@ -6,6 +6,7 @@
 
 #include "src/fuzz/engine.h"
 #include "src/spec/builder.h"
+#include "src/spec/verify.h"
 #include "src/targets/registry.h"
 
 namespace nyx {
@@ -41,7 +42,7 @@ TEST_P(AllTargetsTest, SeedsRunCleanAndProduceCoverage) {
   ASSERT_FALSE(seeds.empty());
   GlobalCoverage global;
   for (const Program& seed : seeds) {
-    ASSERT_TRUE(seed.Validate(spec));
+    ASSERT_TRUE(spec::Verify(seed, spec).ok());
     CoverageMap cov;
     ExecResult r = engine.Run(seed, cov);
     EXPECT_FALSE(r.crash.crashed)

@@ -1,8 +1,9 @@
 // Static verifier coverage: every rule id fires on a crafted invalid
 // program (and only that rule, where the classes are independent), byte
-// offsets point at the offending op, and the mutator's output always
-// verifies clean — the debug-build post-condition in Mutator::Mutate holds
-// over a long random campaign.
+// offsets point at the offending op, Program::Parse reports the wire rules
+// and the structural ones at the offsets it decoded, and the mutator's
+// output always verifies clean — the debug-build post-condition in
+// Mutator::Mutate holds over a long random campaign, and at the op limit.
 
 #include "src/spec/verify.h"
 
@@ -39,7 +40,9 @@ TEST(VerifyTest, ValidProgramIsClean) {
   const Spec spec = Spec::MultiConnection();
   const Program p = ValidProgram();
   EXPECT_TRUE(spec::Verify(p, spec).ok());
-  EXPECT_TRUE(spec::VerifyWire(p.Serialize(), spec).ok());
+  spec::Result verdict;
+  EXPECT_TRUE(Program::Parse(p.Serialize(), spec, &verdict).has_value());
+  EXPECT_TRUE(verdict.ok()) << verdict.Summary();
 }
 
 TEST(VerifyTest, DoubleConsumeIsUseAfterConsume) {
@@ -173,28 +176,35 @@ TEST(VerifyTest, MarkerNotAfterPacketIsPlacementError) {
   EXPECT_EQ(r.diags[0].rule, spec::Rule::kSnapshotPlacement);
 }
 
-TEST(VerifyWireTest, ShortBufferAndBadMagicAndBadVersion) {
+// Parse's verdict for `wire`; Parse must reject it.
+spec::Result Rejection(const Bytes& wire, const Spec& spec) {
+  spec::Result verdict;
+  EXPECT_FALSE(Program::Parse(wire, spec, &verdict).has_value());
+  return verdict;
+}
+
+TEST(ParseVerdictTest, ShortBufferAndBadMagicAndBadVersion) {
   const Spec spec = Spec::MultiConnection();
-  EXPECT_TRUE(spec::VerifyWire(Bytes{1, 2, 3}, spec).Has(spec::Rule::kBadHeader));
+  EXPECT_TRUE(Rejection(Bytes{1, 2, 3}, spec).Has(spec::Rule::kBadHeader));
 
   Bytes wire = ValidProgram().Serialize();
   Bytes bad_magic = wire;
   bad_magic[0] ^= 0xff;
-  EXPECT_TRUE(spec::VerifyWire(bad_magic, spec).Has(spec::Rule::kBadHeader));
+  EXPECT_TRUE(Rejection(bad_magic, spec).Has(spec::Rule::kBadHeader));
 
   Bytes bad_version = wire;
   bad_version[4] = 9;
-  const spec::Result r = spec::VerifyWire(bad_version, spec);
+  const spec::Result r = Rejection(bad_version, spec);
   ASSERT_TRUE(r.Has(spec::Rule::kBadHeader));
   EXPECT_EQ(r.diags[0].byte_offset, 4u);
 }
 
-TEST(VerifyWireTest, TruncatedEncodingIsRejectedWithOffset) {
+TEST(ParseVerdictTest, TruncatedEncodingIsRejectedWithOffset) {
   const Spec spec = Spec::MultiConnection();
   const Program p = ValidProgram();
   Bytes wire = p.Serialize();
   wire.resize(wire.size() - 3);  // chop into the close op's encoding
-  const spec::Result r = spec::VerifyWire(wire, spec);
+  const spec::Result r = Rejection(wire, spec);
   ASSERT_FALSE(r.diags.empty());
   EXPECT_EQ(r.diags[0].rule, spec::Rule::kTruncated);
   // The close op starts at header(7) + connection(6) + pkt(10) = 23.
@@ -202,46 +212,45 @@ TEST(VerifyWireTest, TruncatedEncodingIsRejectedWithOffset) {
   EXPECT_EQ(r.diags[0].op_index, 2u);
 }
 
-TEST(VerifyWireTest, TrailingBytesAreRejected) {
+TEST(ParseVerdictTest, TrailingBytesAreRejected) {
   const Spec spec = Spec::MultiConnection();
   Bytes wire = ValidProgram().Serialize();
   const size_t real_end = wire.size();
   wire.push_back(0);
   wire.push_back(0);
-  const spec::Result r = spec::VerifyWire(wire, spec);
+  const spec::Result r = Rejection(wire, spec);
   ASSERT_FALSE(r.diags.empty());
   EXPECT_EQ(r.diags[0].rule, spec::Rule::kTrailingBytes);
   EXPECT_EQ(r.diags[0].byte_offset, real_end);
 }
 
-TEST(VerifyWireTest, SemanticDiagsAgreeWithStructuralPass) {
-  // The wire path must anchor semantic rules at the same byte offsets the
-  // structural pass computes.
+TEST(ParseVerdictTest, SemanticDiagsAgreeWithStructuralPass) {
+  // Parse must anchor semantic rules at the byte offsets it decoded the ops
+  // from, which are the offsets the structural pass computes.
   const Spec spec = Spec::MultiConnection();
   Program p;
   p.ops.push_back(MakeOp(0));
   p.ops.push_back(MakeOp(2, {0}));
   p.ops.push_back(MakeOp(2, {0}));
   const spec::Result structural = spec::Verify(p, spec);
-  const spec::Result wire = spec::VerifyWire(p.Serialize(), spec);
+  const spec::Result wire = Rejection(p.Serialize(), spec);
   ASSERT_EQ(structural.diags.size(), 1u);
   ASSERT_EQ(wire.diags.size(), 1u);
   EXPECT_EQ(wire.diags[0].rule, structural.diags[0].rule);
   EXPECT_EQ(wire.diags[0].byte_offset, structural.diags[0].byte_offset);
 }
 
-TEST(VerifyTest, VerifierIsStricterThanParse) {
-  // Everything Parse accepts except scalar widths should verify; and
-  // VerifyWire must reject whatever Parse rejects. Spot-check the scalar
-  // case Parse lets through.
+TEST(ParseVerdictTest, ParseRejectsWhatVerifyRejects) {
+  // A scalar payload of the wrong width decodes fine; Parse still rejects
+  // it, naming the rule.
   Spec spec;
   spec.AddNodeType(NodeTypeDef{"setopt", NodeSemantic::kCustom, {}, {}, {},
                                DataKind::kU16});
   Program p;
   p.ops.push_back(MakeOp(0, {}, {1, 2, 3}));
-  const Bytes wire = p.Serialize();
-  EXPECT_TRUE(Program::Parse(wire, spec).has_value());
-  EXPECT_TRUE(spec::VerifyWire(wire, spec).Has(spec::Rule::kScalarDataWidth));
+  const spec::Result r = Rejection(p.Serialize(), spec);
+  ASSERT_EQ(r.diags.size(), 1u);
+  EXPECT_EQ(r.diags[0].rule, spec::Rule::kScalarDataWidth);
 }
 
 TEST(VerifyTest, CorpusRejectsIllFormedPrograms) {
@@ -273,18 +282,13 @@ TEST(CheckTest, ExpectCountsSoftFailures) {
   EXPECT_EQ(GetContractCounters().soft_failures, 0u);
 }
 
-TEST(VerifyTest, TenThousandMutationsVerifyClean) {
-  const Spec spec = Spec::GenericNetwork();
+// Mutates `start` `iterations` times in a row, with `start` in the donor
+// pool, and requires every mutant to verify clean.
+void MutateAndVerify(const Spec& spec, const Program& start, int iterations) {
   Mutator mutator(spec, 0x5eed);
-
-  Program seed;
-  seed.ops.push_back(MakeOp(0));
-  seed.ops.push_back(MakeOp(1, {0}, {'G', 'E', 'T', ' ', '/'}));
-  seed.ops.push_back(MakeOp(1, {0}, {'\r', '\n'}));
-
-  std::vector<Program> pool = {seed};
-  Program current = seed;
-  for (int i = 0; i < 10000; i++) {
+  std::vector<Program> pool = {start};
+  Program current = start;
+  for (int i = 0; i < iterations; i++) {
     std::vector<const Program*> donors;
     donors.reserve(pool.size());
     for (const Program& d : pool) {
@@ -298,6 +302,23 @@ TEST(VerifyTest, TenThousandMutationsVerifyClean) {
       pool.push_back(current);
     }
   }
+}
+
+TEST(VerifyTest, TenThousandMutationsVerifyClean) {
+  const Spec spec = Spec::GenericNetwork();
+  Program seed;
+  seed.ops.push_back(MakeOp(0));
+  seed.ops.push_back(MakeOp(1, {0}, {'G', 'E', 'T', ' ', '/'}));
+  seed.ops.push_back(MakeOp(1, {0}, {'\r', '\n'}));
+  MutateAndVerify(spec, seed, 10000);
+
+  // A start at the op limit, which is also its own splice donor: a mutation
+  // that would grow it must stop at kMaxProgramOps.
+  Program full = seed;
+  while (full.ops.size() < kMaxProgramOps) {
+    full.ops.push_back(MakeOp(1, {0}, {'N', 'O', 'O', 'P'}));
+  }
+  MutateAndVerify(spec, full, 300);
 }
 
 }  // namespace
