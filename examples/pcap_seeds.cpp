@@ -45,7 +45,8 @@ int main() {
     printf("conversion failed\n");
     return 1;
   }
-  const auto pkt_idx = seed->PacketOpIndices(spec);
+  std::vector<size_t> pkt_idx;
+  seed->PacketOpIndices(spec, pkt_idx);
   printf("converted to a %zu-op bytecode seed (%zu logical packets):\n", seed->ops.size(),
          pkt_idx.size());
   for (size_t i : pkt_idx) {

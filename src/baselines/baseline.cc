@@ -53,7 +53,7 @@ void BaselineFuzzer::AddSeed(Program seed) {
   if (seed.ops.empty()) {
     return;
   }
-  const size_t packets = seed.PacketOpIndices(spec_).size();
+  const size_t packets = seed.PacketCount(spec_);
   corpus_.Add(std::move(seed), 0, packets, 0.0);
 }
 
@@ -66,7 +66,7 @@ bool BaselineFuzzer::AflnetStateFeedback() {
     if (!net_.ValidConn(conn)) {
       continue;
     }
-    for (const Bytes& resp : net_.Sent(conn)) {
+    for (PacketQueue::Packet resp : net_.Sent(conn)) {
       uint32_t code = 0;
       if (resp.size() >= 3 && resp[0] >= '0' && resp[0] <= '9') {
         code = static_cast<uint32_t>((resp[0] - '0') * 100 + (resp[1] - '0') * 10 +
@@ -153,7 +153,7 @@ ExecResult BaselineFuzzer::RunOneExec(const Program& input, CoverageMap& cov) {
         }
       }
       clock_.Advance(cost.real_syscall_ns + cost.per_byte_ns * stream.size());
-      net_.DeliverPacket(conn, std::move(stream));
+      net_.DeliverPacket(conn, stream);
       net_.PeerClose(conn);  // stdin EOF
       exec_conns_.push_back(conn);
       result.packets_delivered = 1;
@@ -335,7 +335,7 @@ CampaignResult BaselineFuzzer::Run(const CampaignLimits& limits) {
       Program mutated = base;
       mutator_.Mutate(mutated, donors, 0);
       if (run_one(mutated)) {
-        const size_t packets = mutated.PacketOpIndices(spec_).size();
+        const size_t packets = mutated.PacketCount(spec_);
         corpus_.Add(std::move(mutated), last_exec_vtime_, packets, vnow());
         record_coverage();
       }

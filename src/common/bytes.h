@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,7 +19,7 @@ inline Bytes ToBytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
 
-inline std::string ToString(const Bytes& b) {
+inline std::string ToString(std::span<const uint8_t> b) {
   return std::string(b.begin(), b.end());
 }
 
@@ -87,7 +88,7 @@ inline void PutBe32(Bytes& b, uint32_t v) {
   }
 }
 
-inline void Append(Bytes& dst, const Bytes& src) {
+inline void Append(Bytes& dst, std::span<const uint8_t> src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 

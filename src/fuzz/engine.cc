@@ -171,7 +171,10 @@ ExecResult NyxEngine::RunInternal(const Program& input, CoverageMap& cov) {
       }
       telemetry::ScopedPhase phase(telemetry::Phase::kSnapshotRestore);
       vm_->CreateIncremental();
-      inc_ = HostSnapshot{net_.state(), interp_, static_cast<uint32_t>(i + 1)};
+      // Field by field, so the copies reuse the previous capture's storage.
+      inc_.net = net_.state();
+      inc_.interp = interp_;
+      inc_.resume_op = static_cast<uint32_t>(i + 1);
       // The link ends with the marker op itself, so a later match implies
       // the candidate input also carries the marker at this position and
       // resuming at i+1 skips exactly the executed prefix.
@@ -279,8 +282,8 @@ std::vector<Bytes> NyxEngine::LastResponses() const {
   std::vector<Bytes> out;
   for (int conn : interp_.value_conns) {
     if (net_.ValidConn(conn)) {
-      for (const Bytes& b : net_.Sent(conn)) {
-        out.push_back(b);
+      for (PacketQueue::Packet packet : net_.Sent(conn)) {
+        out.emplace_back(packet.begin(), packet.end());
       }
     }
   }

@@ -24,7 +24,7 @@ void NyxFuzzer::AddSeed(Program seed) {
   if (seed.ops.empty()) {
     return;
   }
-  const size_t packets = seed.PacketOpIndices(spec_).size();
+  const size_t packets = seed.PacketCount(spec_);
   corpus_.Add(std::move(seed), 0, packets, 0.0);
 }
 
@@ -104,6 +104,12 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
   }
   record_coverage();
 
+  // Per-schedule buffers, declared once so that each schedule reuses the
+  // storage of the last: the base's packet op indices, a copy of the base
+  // and the mutation buffer.
+  std::vector<size_t> base_packets;
+  Program base;
+  Program mutated;
   bool found_since_last_schedule = true;
   while (!out_of_budget()) {
     if (corpus_.empty()) {
@@ -129,17 +135,14 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
     found_since_last_schedule = false;
     engine_.DropIncremental();
 
-    const auto base_packets = entry.program.PacketOpIndices(spec_);
+    entry.program.PacketOpIndices(spec_, base_packets);
     size_t first_mutable_op = 0;
     if (decision.use_incremental && decision.packet_index < base_packets.size()) {
       first_mutable_op = base_packets[decision.packet_index] + 1;
     }
     // Pin the donor list for this batch (Add() may reallocate).
     const std::vector<const Program*> donors = corpus_.Donors();
-    const Program base = entry.program;
-    // One mutation buffer per schedule: assigning `base` to it reuses each
-    // op's args and data capacity instead of allocating a fresh program.
-    Program mutated;
+    base = entry.program;
     // Mostly mutate the suffix so the incremental snapshot stays reusable;
     // about one exec in four mutates the whole input, which carries no
     // marker and runs from the root (a prefix change would invalidate the
@@ -169,7 +172,7 @@ CampaignResult NyxFuzzer::Run(const CampaignLimits& limits) {
       if (interesting) {
         found_since_last_schedule = true;
         mutated.StripSnapshotMarkers();
-        const size_t packets = mutated.PacketOpIndices(spec_).size();
+        const size_t packets = mutated.PacketCount(spec_);
         corpus_.Add(std::move(mutated), last_exec_vtime_, packets, vnow());
         record_coverage();
       }

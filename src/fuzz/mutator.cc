@@ -60,7 +60,6 @@ void Mutator::HavocBytes(Bytes& data) {
         if (data.size() < kMaxPacketBytes) {
           const uint64_t n = 1 + rng_.Below(16);
           const size_t pos = rng_.Below(data.size() + 1);
-          Bytes block;
           // Repeated fills draw from the token alphabet half the time (when
           // available): "///" or "..." blocks open structural paths that a
           // single random byte never would.
@@ -68,10 +67,12 @@ void Mutator::HavocBytes(Bytes& data) {
                                    ? kTokenBytes[rng_.Below(std::size(kTokenBytes))]
                                    : rng_.NextByte();
           const bool repeat = rng_.Chance(1, 2);
-          for (uint64_t i = 0; i < n; i++) {
-            block.push_back(repeat ? fill : rng_.NextByte());
+          data.insert(data.begin() + static_cast<long>(pos), n, fill);
+          if (!repeat) {
+            for (uint64_t i = 0; i < n; i++) {
+              data[pos + i] = rng_.NextByte();
+            }
           }
-          data.insert(data.begin() + static_cast<long>(pos), block.begin(), block.end());
         }
         break;
       }
@@ -113,15 +114,16 @@ void Mutator::HavocBytes(Bytes& data) {
   }
 }
 
+void Mutator::FindMutablePackets(const Program& program, size_t first_mutable_op) {
+  program.PacketOpIndices(spec_, packets_);
+  packets_.erase(packets_.begin(),
+                 std::lower_bound(packets_.begin(), packets_.end(), first_mutable_op));
+}
+
 bool Mutator::StructureMutation(Program& program, const std::vector<const Program*>& donors,
                                 size_t first_mutable_op) {
-  // Mutable packet ops only.
-  std::vector<size_t> packets;
-  for (size_t i : program.PacketOpIndices(spec_)) {
-    if (i >= first_mutable_op) {
-      packets.push_back(i);
-    }
-  }
+  FindMutablePackets(program, first_mutable_op);
+  const std::vector<size_t>& packets = packets_;
 
   switch (rng_.Below(6)) {
     case 0: {  // duplicate a packet in place
@@ -163,12 +165,12 @@ bool Mutator::StructureMutation(Program& program, const std::vector<const Progra
         return false;
       }
       const Program* donor = donors[rng_.Below(donors.size())];
-      const auto donor_packets = donor->PacketOpIndices(spec_);
-      if (donor_packets.empty()) {
+      donor->PacketOpIndices(spec_, donor_packets_);
+      if (donor_packets_.empty()) {
         return false;
       }
       const size_t cut = packets[rng_.Below(packets.size())];
-      const size_t donor_from = donor_packets[rng_.Below(donor_packets.size())];
+      const size_t donor_from = donor_packets_[rng_.Below(donor_packets_.size())];
       program.ops.resize(cut);
       for (size_t i = donor_from; i < donor->ops.size(); i++) {
         if (!donor->ops[i].is_snapshot()) {
@@ -182,9 +184,9 @@ bool Mutator::StructureMutation(Program& program, const std::vector<const Progra
       bool have = false;
       if (!donors.empty()) {
         const Program* donor = donors[rng_.Below(donors.size())];
-        const auto donor_packets = donor->PacketOpIndices(spec_);
-        if (!donor_packets.empty()) {
-          source = donor->ops[donor_packets[rng_.Below(donor_packets.size())]];
+        donor->PacketOpIndices(spec_, donor_packets_);
+        if (!donor_packets_.empty()) {
+          source = donor->ops[donor_packets_[rng_.Below(donor_packets_.size())]];
           have = true;
         }
       }
@@ -219,24 +221,23 @@ void Mutator::BindArgsLive(Op& op, const Program& program, size_t at) {
   for (size_t p = 0; p < op.args.size(); p++) {
     const int edge = p < node.borrows.size() ? node.borrows[p]
                                              : node.consumes[p - node.borrows.size()];
-    const std::vector<uint16_t> live = program.LiveValues(spec_, at, edge);
-    if (!live.empty()) {
-      op.args[p] = live[rng_.Below(live.size())];
+    program.LiveValues(spec_, at, edge, table_, live_);
+    if (!live_.empty()) {
+      op.args[p] = live_[rng_.Below(live_.size())];
     }
   }
 }
 
 bool Mutator::FaultMutation(Program& program, size_t first_mutable_op) {
-  const std::vector<int> fault_nodes = spec_.NodesWithSemantic(NodeSemantic::kFault);
-  if (fault_nodes.empty()) {
+  if (fault_nodes_.empty()) {
     return false;
   }
-  std::vector<size_t> fault_ops;
+  fault_ops_.clear();
   for (size_t i = first_mutable_op; i < program.ops.size(); i++) {
     const Op& op = program.ops[i];
     if (!op.is_snapshot() && op.node_type < spec_.node_type_count() &&
         spec_.node_type(op.node_type).semantic == NodeSemantic::kFault) {
-      fault_ops.push_back(i);
+      fault_ops_.push_back(i);
     }
   }
   // Kind-aware random plan: args that make sense for the kind (a byte cap
@@ -269,10 +270,10 @@ bool Mutator::FaultMutation(Program& program, size_t first_mutable_op) {
   switch (rng_.Below(3)) {
     case 0: {  // insert a fault op, bound to a live connection
       Op op;
-      op.node_type = static_cast<uint8_t>(fault_nodes[rng_.Below(fault_nodes.size())]);
+      op.node_type = static_cast<uint8_t>(fault_nodes_[rng_.Below(fault_nodes_.size())]);
       const NodeTypeDef& node = spec_.node_type(op.node_type);
       op.args.assign(node.borrows.size() + node.consumes.size(), 0);
-      op.data = random_plan().Encode();
+      random_plan().EncodeTo(op.data);
       const size_t lo = std::max(first_mutable_op, static_cast<size_t>(1));
       if (program.ops.size() + 1 < lo) {
         return false;
@@ -283,18 +284,21 @@ bool Mutator::FaultMutation(Program& program, size_t first_mutable_op) {
       return true;
     }
     case 1: {  // re-plan an existing fault op
-      if (fault_ops.empty()) {
+      if (fault_ops_.empty()) {
         return false;
       }
-      program.ops[fault_ops[rng_.Below(fault_ops.size())]].data = random_plan().Encode();
+      // The plan's draws come before the op's; swapping them would change
+      // every later mutation of a seed.
+      const FaultPlan plan = random_plan();
+      plan.EncodeTo(program.ops[fault_ops_[rng_.Below(fault_ops_.size())]].data);
       return true;
     }
     default: {  // delete a fault op
-      if (fault_ops.empty()) {
+      if (fault_ops_.empty()) {
         return false;
       }
       program.ops.erase(program.ops.begin() +
-                        static_cast<long>(fault_ops[rng_.Below(fault_ops.size())]));
+                        static_cast<long>(fault_ops_[rng_.Below(fault_ops_.size())]));
       return true;
     }
   }
@@ -308,14 +312,9 @@ void Mutator::Mutate(Program& program, const std::vector<const Program*>& corpus
     // Byte-level havoc is the workhorse; structural changes are rarer, like
     // AFL's havoc-vs-splice balance.
     if (rng_.Chance(3, 4)) {
-      std::vector<size_t> packets;
-      for (size_t i : program.PacketOpIndices(spec_)) {
-        if (i >= first_mutable_op) {
-          packets.push_back(i);
-        }
-      }
-      if (!packets.empty()) {
-        HavocBytes(program.ops[packets[rng_.Below(packets.size())]].data);
+      FindMutablePackets(program, first_mutable_op);
+      if (!packets_.empty()) {
+        HavocBytes(program.ops[packets_[rng_.Below(packets_.size())]].data);
         continue;
       }
     }
@@ -327,7 +326,7 @@ void Mutator::Mutate(Program& program, const std::vector<const Program*>& corpus
     }
     StructureMutation(program, corpus_donors, first_mutable_op);
   }
-  program.Repair(spec_);
+  program.Repair(spec_, &table_);
 #ifndef NDEBUG
   // Debug-build post-condition: whatever the mutation stack did, Repair must
   // have restored affinity and well-formedness. A failure here is a mutator

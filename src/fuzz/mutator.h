@@ -12,6 +12,10 @@
 // When the fuzzer reuses an incremental snapshot, only ops strictly after
 // the snapshot point may change — the prefix must stay byte-identical so the
 // engine can skip it. `first_mutable_op` enforces that.
+//
+// A Mutator runs once per exec, so it owns the scratch it needs (index
+// lists, the live-value table) and reuses their storage: past the first
+// few mutations, only growing the program allocates.
 
 #ifndef SRC_FUZZ_MUTATOR_H_
 #define SRC_FUZZ_MUTATOR_H_
@@ -21,6 +25,7 @@
 #include "src/common/rng.h"
 #include "src/spec/program.h"
 #include "src/spec/spec.h"
+#include "src/spec/verify.h"
 
 namespace nyx {
 
@@ -32,7 +37,11 @@ class Mutator {
   // (FuzzerConfig::fault_injection); off, existing fault ops are left alone
   // but no new ones appear.
   Mutator(const Spec& spec, uint64_t seed, bool dictionary = true, bool faults = false)
-      : spec_(spec), rng_(seed), dictionary_(dictionary), faults_(faults) {}
+      : spec_(spec),
+        rng_(seed),
+        dictionary_(dictionary),
+        faults_(faults),
+        fault_nodes_(spec.NodesWithSemantic(NodeSemantic::kFault)) {}
 
   // Applies 1..n stacked mutations to `program`, never touching ops before
   // `first_mutable_op`. `corpus_donors` provides splice material (may be
@@ -45,6 +54,9 @@ class Mutator {
 
  private:
   void HavocBytes(Bytes& data);
+  // Fills packets_ with the indices of packet ops at or after
+  // `first_mutable_op`.
+  void FindMutablePackets(const Program& program, size_t first_mutable_op);
   bool StructureMutation(Program& program, const std::vector<const Program*>& donors,
                          size_t first_mutable_op);
   bool FaultMutation(Program& program, size_t first_mutable_op);
@@ -59,6 +71,14 @@ class Mutator {
   Rng rng_;
   bool dictionary_;
   bool faults_;
+  const std::vector<int> fault_nodes_;  // node types with semantic kFault
+
+  // Scratch, reused by every mutation.
+  std::vector<size_t> packets_;        // FindMutablePackets
+  std::vector<size_t> donor_packets_;  // a donor's packet ops
+  std::vector<size_t> fault_ops_;      // mutable fault ops
+  std::vector<uint16_t> live_;         // BindArgsLive's candidates
+  spec::ValueTable table_;             // for Repair and LiveValues
 };
 
 }  // namespace nyx

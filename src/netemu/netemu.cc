@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <ostream>
 #include <string>
 
 #include "src/common/check.h"
@@ -23,6 +24,58 @@ NetEmu::NetEmu(Config config)
   }
   state_.sockets.reserve(config_.max_sockets);
   state_.fds.reserve(config_.max_fds);
+  spare_.reserve(config_.max_sockets);
+}
+
+bool PacketQueue::operator==(const PacketQueue& other) const {
+  if (size() != other.size() || bytes() != other.bytes()) {
+    return false;
+  }
+  const size_t base = head_ == 0 ? 0 : ends_[head_ - 1];
+  const size_t other_base = other.head_ == 0 ? 0 : other.ends_[other.head_ - 1];
+  for (size_t i = 0; i < size(); i++) {
+    if (ends_[head_ + i] - base != other.ends_[other.head_ + i] - other_base) {
+      return false;
+    }
+  }
+  return std::equal(bytes_.begin() + static_cast<long>(base), bytes_.end(),
+                    other.bytes_.begin() + static_cast<long>(other_base));
+}
+
+void NetEmu::Sock::Clear() {
+  PacketQueue rx_storage = std::move(rx);
+  PacketQueue tx_storage = std::move(tx);
+  Fifo<int> accept_storage = std::move(pending_accept);
+  Fifo<FaultEntry> fault_storage = std::move(faults);
+  *this = Sock{};
+  rx = std::move(rx_storage);
+  rx.Clear();
+  tx = std::move(tx_storage);
+  tx.Clear();
+  pending_accept = std::move(accept_storage);
+  pending_accept.Clear();
+  faults = std::move(fault_storage);
+  faults.Clear();
+}
+
+void NetEmu::Restore(const State& state) {
+  std::vector<Sock>& sockets = state_.sockets;
+  while (sockets.size() > state.sockets.size()) {
+    spare_.push_back(std::move(sockets.back()));
+    sockets.pop_back();
+  }
+  while (sockets.size() < state.sockets.size()) {
+    AppendSocket();
+  }
+  for (size_t i = 0; i < sockets.size(); i++) {
+    sockets[i] = state.sockets[i];
+  }
+  state_.fds = state.fds;
+  state_.client_conns = state.client_conns;
+  state_.current_process = state.current_process;
+  state_.next_process = state.next_process;
+  state_.consumed_input = state.consumed_input;
+  blocked_on_input_ = false;
 }
 
 std::optional<FaultPlan> NetEmu::TakeFault(Sock& s, std::initializer_list<FaultKind> kinds) {
@@ -46,7 +99,7 @@ std::optional<FaultPlan> NetEmu::TakeFault(Sock& s, std::initializer_list<FaultK
   const bool one_shot =
       plan.kind == FaultKind::kConnReset || plan.kind == FaultKind::kPeerClose;
   if (one_shot || --front.remaining == 0) {
-    s.faults.pop_front();
+    s.faults.PopFront();
   }
   faults_injected_++;
   fault_counters_[static_cast<size_t>(plan.kind)]->Add(1);
@@ -55,25 +108,31 @@ std::optional<FaultPlan> NetEmu::TakeFault(Sock& s, std::initializer_list<FaultK
 
 void NetEmu::ResetSock(Sock& s) {
   // Queued-but-unread fuzz input dies with the connection; account for it
-  // separately so throughput numbers stay honest (ISSUE satellite).
-  size_t dropped = 0;
-  for (const Bytes& pkt : s.rx) {
-    dropped += pkt.size();
-  }
+  // separately so throughput numbers stay honest.
+  size_t dropped = s.rx.bytes();
   if (!s.rx.empty() && s.rx_front_consumed < s.rx.front().size()) {
     dropped -= s.rx_front_consumed;
   }
   faulted_bytes_ += dropped;
-  s.rx.clear();
+  s.rx.Clear();
   s.rx_front_consumed = 0;
   s.reset = true;
   s.peer_closed = true;
 }
 
+void NetEmu::AppendSocket() {
+  if (spare_.empty()) {
+    state_.sockets.emplace_back();
+  } else {
+    state_.sockets.push_back(std::move(spare_.back()));
+    spare_.pop_back();
+  }
+}
+
 int NetEmu::AllocSocket() {
   for (size_t i = 0; i < state_.sockets.size(); i++) {
     if (!state_.sockets[i].live) {
-      state_.sockets[i] = Sock{};
+      state_.sockets[i].Clear();
       state_.sockets[i].live = true;
       return static_cast<int>(i);
     }
@@ -81,7 +140,8 @@ int NetEmu::AllocSocket() {
   if (state_.sockets.size() >= config_.max_sockets) {
     return -1;
   }
-  state_.sockets.push_back(Sock{});
+  AppendSocket();
+  state_.sockets.back().Clear();  // a parked socket still holds its last exec's data
   state_.sockets.back().live = true;
   return static_cast<int>(state_.sockets.size() - 1);
 }
@@ -118,10 +178,10 @@ void NetEmu::DropSocketRef(int sock) {
   NYX_DCHECK_GT(s.refcount, 0);
   if (--s.refcount <= 0) {
     s.live = false;
-    s.rx.clear();
-    s.tx.clear();
-    s.pending_accept.clear();
-    s.faults.clear();
+    s.rx.Clear();
+    s.tx.Clear();
+    s.pending_accept.Clear();
+    s.faults.Clear();
   }
 }
 
@@ -187,7 +247,7 @@ int NetEmu::Accept(int fd) {
     switch (f->kind) {
       case FaultKind::kConnReset: {
         const int aborted = s->pending_accept.front();
-        s->pending_accept.pop_front();
+        s->pending_accept.PopFront();
         ResetSock(state_.sockets[aborted]);
         DropSocketRef(aborted);
         return kErrConnReset;
@@ -205,7 +265,7 @@ int NetEmu::Accept(int fd) {
   }
   blocked_on_input_ = false;
   const int conn = s->pending_accept.front();
-  s->pending_accept.pop_front();
+  s->pending_accept.PopFront();
   const int conn_fd = AllocFd(conn);
   if (conn_fd >= 0) {
     // The backlog's reference is transferred to the new fd.
@@ -304,19 +364,19 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
   if (s->kind == SockKind::kDgram) {
     // One datagram per call; excess bytes are discarded (truncation), like
     // recvfrom on a SOCK_DGRAM socket.
-    const Bytes& pkt = s->rx.front();
+    const PacketQueue::Packet pkt = s->rx.front();
     out = pkt.size() < len ? pkt.size() : len;
     if (out > 0) {  // empty datagram: data() may be null
       memcpy(buf, pkt.data(), out);
     }
-    s->rx.pop_front();
+    s->rx.PopFront();
     s->rx_front_consumed = 0;
     return static_cast<int>(out);
   }
 
   if (config_.preserve_packet_boundaries) {
     // At most one packet per call — the emulation the paper argues for.
-    const Bytes& pkt = s->rx.front();
+    const PacketQueue::Packet pkt = s->rx.front();
     const size_t avail = pkt.size() - s->rx_front_consumed;
     out = avail < len ? avail : len;
     if (out > 0) {  // empty packet: data() may be null
@@ -324,7 +384,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
     }
     s->rx_front_consumed += out;
     if (s->rx_front_consumed >= pkt.size()) {
-      s->rx.pop_front();
+      s->rx.PopFront();
       s->rx_front_consumed = 0;
     }
     return static_cast<int>(out);
@@ -333,7 +393,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
   // Coalescing mode (desock-style): drain as much as fits.
   uint8_t* dst = static_cast<uint8_t*>(buf);
   while (out < len && !s->rx.empty()) {
-    const Bytes& pkt = s->rx.front();
+    const PacketQueue::Packet pkt = s->rx.front();
     const size_t avail = pkt.size() - s->rx_front_consumed;
     const size_t take = avail < len - out ? avail : len - out;
     if (take > 0) {  // empty packet: data() may be null
@@ -342,7 +402,7 @@ int NetEmu::Recv(int fd, void* buf, size_t len) {
     out += take;
     s->rx_front_consumed += take;
     if (s->rx_front_consumed >= pkt.size()) {
-      s->rx.pop_front();
+      s->rx.PopFront();
       s->rx_front_consumed = 0;
     }
   }
@@ -384,8 +444,7 @@ int NetEmu::Send(int fd, const void* data, size_t len) {
         NYX_UNREACHABLE() << "kind outside TakeFault filter";
     }
   }
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  s->tx.emplace_back(p, p + len);
+  s->tx.Push(PacketQueue::Packet(static_cast<const uint8_t*>(data), len));
   return static_cast<int>(len);
 }
 
@@ -446,7 +505,7 @@ int NetEmu::QueueConnection(uint16_t port) {
   // The connection is owned by its fd once accepted; keep it alive while it
   // sits in the backlog.
   state_.sockets[conn].refcount = 1;
-  state_.sockets[listener].pending_accept.push_back(conn);
+  state_.sockets[listener].pending_accept.Push(conn);
   conns_queued_counter_->Add(1);
   return conn;
 }
@@ -461,7 +520,7 @@ int NetEmu::FindDgramSocket(uint16_t port) const {
   return -1;
 }
 
-bool NetEmu::DeliverPacket(int conn, Bytes data) {
+bool NetEmu::DeliverPacket(int conn, std::span<const uint8_t> data) {
   telemetry::ScopedPhase phase(telemetry::Phase::kNetemu);
   // A dead connection id here means the interpreter's view of the socket
   // table diverged from ours — count it instead of dropping silently.
@@ -477,7 +536,7 @@ bool NetEmu::DeliverPacket(int conn, Bytes data) {
     faulted_bytes_ += data.size();
     return true;
   }
-  state_.sockets[conn].rx.push_back(std::move(data));
+  state_.sockets[conn].rx.Push(data);
   return true;
 }
 
@@ -486,7 +545,7 @@ bool NetEmu::QueueFault(int conn, const FaultPlan& plan) {
   if (!NYX_EXPECT(ValidConn(conn)) || !plan.Valid()) {
     return false;
   }
-  state_.sockets[conn].faults.push_back(FaultEntry{plan, plan.count});
+  state_.sockets[conn].faults.Push(FaultEntry{plan, plan.count});
   return true;
 }
 
@@ -497,8 +556,8 @@ void NetEmu::PeerClose(int conn) {
   }
 }
 
-const std::vector<Bytes>& NetEmu::Sent(int conn) const {
-  static const std::vector<Bytes> kEmpty;
+const PacketQueue& NetEmu::Sent(int conn) const {
+  static const PacketQueue kEmpty;
   if (!ValidConn(conn)) {
     return kEmpty;
   }
@@ -511,9 +570,7 @@ size_t NetEmu::UndeliveredBytes() const {
     if (!s.live || !s.attack_surface) {
       continue;
     }
-    for (const Bytes& pkt : s.rx) {
-      n += pkt.size();
-    }
+    n += s.rx.bytes();
     // A partially read front packet: the consumed prefix is no longer
     // "undelivered" (the pop-when-drained invariant keeps the offset
     // strictly inside the front packet).
@@ -538,7 +595,7 @@ Bytes NetEmu::Serialize() const {
     PutLe32(out, static_cast<uint32_t>(s.refcount));
     PutLe64(out, s.rx_front_consumed);
     PutLe32(out, static_cast<uint32_t>(s.rx.size()));
-    for (const Bytes& pkt : s.rx) {
+    for (PacketQueue::Packet pkt : s.rx) {
       PutLe32(out, static_cast<uint32_t>(pkt.size()));
       Append(out, pkt);
     }
@@ -547,7 +604,7 @@ Bytes NetEmu::Serialize() const {
       PutLe32(out, static_cast<uint32_t>(c));
     }
     PutLe32(out, static_cast<uint32_t>(s.tx.size()));
-    for (const Bytes& pkt : s.tx) {
+    for (PacketQueue::Packet pkt : s.tx) {
       PutLe32(out, static_cast<uint32_t>(pkt.size()));
       Append(out, pkt);
     }
@@ -595,10 +652,11 @@ bool NetEmu::Deserialize(const Bytes& blob) {
     uint64_t hi = u32();
     return lo | (hi << 32);
   };
+  // The next n bytes, or an empty packet when the blob is shorter.
   auto bytes = [&](size_t n) {
-    Bytes b;
+    PacketQueue::Packet b;
     if (off + n <= blob.size()) {
-      b.assign(blob.begin() + static_cast<long>(off), blob.begin() + static_cast<long>(off + n));
+      b = PacketQueue::Packet(blob.data() + off, n);
     }
     off += n;
     return b;
@@ -611,7 +669,8 @@ bool NetEmu::Deserialize(const Bytes& blob) {
   if (nsock > config_.max_sockets) {
     return false;
   }
-  state_.sockets.assign(nsock, Sock{});
+  state_.sockets.clear();
+  state_.sockets.resize(nsock);
   for (Sock& s : state_.sockets) {
     s.live = u8() != 0;
     s.kind = static_cast<SockKind>(u8());
@@ -624,16 +683,16 @@ bool NetEmu::Deserialize(const Bytes& blob) {
     const uint32_t nrx = u32();
     for (uint32_t i = 0; i < nrx && off <= blob.size(); i++) {
       const uint32_t len = u32();
-      s.rx.push_back(bytes(len));
+      s.rx.Push(bytes(len));
     }
     const uint32_t nacc = u32();
     for (uint32_t i = 0; i < nacc; i++) {
-      s.pending_accept.push_back(static_cast<int>(u32()));
+      s.pending_accept.Push(static_cast<int>(u32()));
     }
     const uint32_t ntx = u32();
     for (uint32_t i = 0; i < ntx && off <= blob.size(); i++) {
       const uint32_t len = u32();
-      s.tx.push_back(bytes(len));
+      s.tx.Push(bytes(len));
     }
     s.reset = u8() != 0;
     const uint32_t nfault = u32();
@@ -648,7 +707,7 @@ bool NetEmu::Deserialize(const Bytes& blob) {
         continue;
       }
       e.plan.count = e.remaining;
-      s.faults.push_back(e);
+      s.faults.Push(e);
     }
   }
   const uint32_t nfds = u32();
@@ -671,6 +730,40 @@ bool NetEmu::Deserialize(const Bytes& blob) {
   state_.consumed_input = u8() != 0;
   blocked_on_input_ = false;
   return off <= blob.size();
+}
+
+void PrintTo(const NetEmu::State& state, std::ostream* os) {
+  static const char* const kKindNames[] = {"listener", "stream", "dgram"};
+  *os << "{";
+  for (size_t i = 0; i < state.sockets.size(); i++) {
+    const NetEmu::Sock& s = state.sockets[i];
+    if (!s.live) {
+      continue;
+    }
+    *os << "sock" << i << "=" << kKindNames[static_cast<size_t>(s.kind)] << ":" << s.port
+        << " ref " << s.refcount << " rx " << s.rx.size() << "p/" << s.rx.bytes() << "B";
+    if (s.rx_front_consumed != 0) {
+      *os << "@" << s.rx_front_consumed;
+    }
+    *os << " tx " << s.tx.size() << "p/" << s.tx.bytes() << "B faults " << s.faults.size();
+    if (s.listening) {
+      *os << " backlog " << s.pending_accept.size();
+    }
+    if (s.peer_closed) {
+      *os << (s.reset ? " reset" : " peer-closed");
+    }
+    *os << "; ";
+  }
+  *os << "open fds [";
+  const char* sep = "";
+  for (size_t fd = 0; fd < state.fds.size(); fd++) {
+    if (state.fds[fd].open) {
+      *os << sep << fd << "->sock" << state.fds[fd].sock << "/p" << state.fds[fd].process;
+      sep = " ";
+    }
+  }
+  *os << "] process " << state.current_process << " next " << state.next_process
+      << (state.consumed_input ? " consumed" : "") << "}";
 }
 
 }  // namespace nyx

@@ -18,10 +18,12 @@
 #ifndef SRC_NETEMU_NETEMU_H_
 #define SRC_NETEMU_NETEMU_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
+#include <iosfwd>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -36,6 +38,99 @@ enum class SockKind : uint8_t {
   kListener,
   kStream,  // TCP / Unix stream: packet-chunked byte stream
   kDgram,   // UDP: datagram boundaries are semantic
+};
+
+// A FIFO over one vector and a head index: popping advances the head, and
+// popping the last element empties the vector. A queue that is drained as
+// it fills never grows, and Clear() keeps the capacity, so steady-state
+// traffic allocates nothing (a std::deque allocates a map and a node even
+// when empty). Equality compares the queued elements, not the storage.
+template <typename T>
+class Fifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  size_t size() const { return items_.size() - head_; }
+  T& front() { return items_[head_]; }
+  const T& front() const { return items_[head_]; }
+  void Push(const T& item) { items_.push_back(item); }
+  void PopFront() {
+    if (++head_ == items_.size()) {
+      Clear();
+    }
+  }
+  void Clear() {
+    items_.clear();
+    head_ = 0;
+  }
+  typename std::vector<T>::const_iterator begin() const { return items_.begin() + head_; }
+  typename std::vector<T>::const_iterator end() const { return items_.end(); }
+  bool operator==(const Fifo& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+
+ private:
+  std::vector<T> items_;
+  size_t head_ = 0;
+};
+
+// A FIFO of packets in one byte buffer: the packets lie back to back in
+// `bytes_`, `ends_[i]` is where packet i ends, and packets before `head_`
+// are popped. Like Fifo, popping the last packet empties the storage and
+// Clear() keeps the capacity. Equality compares the queued packets,
+// boundaries included, not the storage.
+class PacketQueue {
+ public:
+  using Packet = std::span<const uint8_t>;
+
+  class Iterator {
+   public:
+    Iterator(const PacketQueue* q, size_t i) : q_(q), i_(i) {}
+    Packet operator*() const { return (*q_)[i_]; }
+    Iterator& operator++() {
+      i_++;
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    const PacketQueue* q_;
+    size_t i_;
+  };
+
+  bool empty() const { return head_ == ends_.size(); }
+  // Queued packets.
+  size_t size() const { return ends_.size() - head_; }
+  // Packet i counted from the front.
+  Packet operator[](size_t i) const {
+    const size_t n = head_ + i;
+    const size_t begin = n == 0 ? 0 : ends_[n - 1];
+    return Packet(bytes_.data() + begin, ends_[n] - begin);
+  }
+  Packet front() const { return (*this)[0]; }
+  // Bytes in the queued packets.
+  size_t bytes() const { return bytes_.size() - (head_ == 0 ? 0 : ends_[head_ - 1]); }
+  void Push(Packet packet) {
+    Append(bytes_, packet);
+    ends_.push_back(bytes_.size());
+  }
+  void PopFront() {
+    if (++head_ == ends_.size()) {
+      Clear();
+    }
+  }
+  void Clear() {
+    bytes_.clear();
+    ends_.clear();
+    head_ = 0;
+  }
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
+  bool operator==(const PacketQueue& other) const;
+
+ private:
+  Bytes bytes_;
+  std::vector<size_t> ends_;
+  size_t head_ = 0;
 };
 
 class NetEmu {
@@ -95,7 +190,7 @@ class NetEmu {
   // from QueueConnection() or from ClientConnections(). Returns true when
   // the bytes entered the emulator (a reset connection accepts-and-drops
   // them into faulted_bytes(), like a kernel dropping onto a dead socket).
-  bool DeliverPacket(int conn, Bytes data);
+  bool DeliverPacket(int conn, std::span<const uint8_t> data);
   void PeerClose(int conn);
   // Queues one deterministic fault plan on a connection. Plans are strictly
   // FIFO per socket: the front plan is consulted by the libc-shaped call it
@@ -104,7 +199,7 @@ class NetEmu {
   // NodeSemantic::kFault opcode; see src/spec/fault_plan.h.
   bool QueueFault(int conn, const FaultPlan& plan);
   // Everything the target sent on this connection, packet boundaries as sent.
-  const std::vector<Bytes>& Sent(int conn) const;
+  const PacketQueue& Sent(int conn) const;
   // Connection handles created by the target via Connect().
   const std::vector<int>& ClientConnections() const { return state_.client_conns; }
 
@@ -145,12 +240,15 @@ class NetEmu {
     bool peer_closed = false;
     bool reset = false;             // killed by a kConnReset fault
     int refcount = 0;
-    std::deque<Bytes> rx;           // queued packets, boundaries preserved
+    PacketQueue rx;                 // queued packets, boundaries preserved
     size_t rx_front_consumed = 0;   // partial read offset into rx.front()
-    std::deque<int> pending_accept; // queued connection socket indices
-    std::vector<Bytes> tx;
-    std::deque<FaultEntry> faults;  // FIFO fault queue (see QueueFault)
+    Fifo<int> pending_accept;       // queued connection socket indices
+    PacketQueue tx;                 // everything sent, never popped
+    Fifo<FaultEntry> faults;        // FIFO fault queue (see QueueFault)
     bool operator==(const Sock&) const = default;
+    // Resets every field to a new socket's value; the queues keep their
+    // storage.
+    void Clear();
   };
 
   struct FdEntry {
@@ -175,11 +273,10 @@ class NetEmu {
 
   const State& state() const { return state_; }
   // Assigns `state` back and clears blocked_on_input(): a restored target
-  // has not blocked yet.
-  void Restore(const State& state) {
-    state_ = state;
-    blocked_on_input_ = false;
-  }
+  // has not blocked yet. Sockets are assigned one by one, and the sockets
+  // past the end of `state` are parked in a spare list for AllocSocket, so
+  // every queue keeps its storage across restores.
+  void Restore(const State& state);
 
   // A byte codec of State. Nothing on an exec path uses it; the wall-clock
   // benchmark's codec probe (bench/wallclock) still times it and checks
@@ -195,6 +292,9 @@ class NetEmu {
   }
 
  private:
+  // Appends a socket to the table: a parked one from spare_ if there is
+  // one, so its queues keep their storage, else a new one.
+  void AppendSocket();
   int AllocSocket();
   int AllocFd(int sock);
   Sock* SockForFd(int fd);
@@ -215,6 +315,9 @@ class NetEmu {
 
   Config config_;
   State state_;
+  // Sockets cut off by Restore, cleared on reuse. Outside State: they hold
+  // only storage, so no restore or comparison sees them.
+  std::vector<Sock> spare_;
   bool blocked_on_input_ = false;
   uint64_t calls_ = 0;
   // Observational (like calls_): deliberately outside State, so audit
@@ -230,6 +333,11 @@ class NetEmu {
   telemetry::Counter* bytes_counter_;
   telemetry::Counter* fault_counters_[kFaultKindCount];
 };
+
+// gtest prints a failing State comparison through this: each live socket's
+// kind, port, refcount, queued packets and bytes and fault-queue length,
+// then the open fds.
+void PrintTo(const NetEmu::State& state, std::ostream* os);
 
 }  // namespace nyx
 

@@ -60,9 +60,15 @@ struct FaultPlan {
            count <= kMaxFaultBurst;
   }
 
+  // Writes the 4-byte wire form into `out`, reusing its storage.
+  void EncodeTo(Bytes& out) const {
+    out.assign({static_cast<uint8_t>(kind), count, static_cast<uint8_t>(arg & 0xff),
+                static_cast<uint8_t>(arg >> 8)});
+  }
   Bytes Encode() const {
-    return {static_cast<uint8_t>(kind), count, static_cast<uint8_t>(arg & 0xff),
-            static_cast<uint8_t>(arg >> 8)};
+    Bytes out;
+    EncodeTo(out);
+    return out;
   }
 
   // Strict decode: exactly 4 bytes and a well-formed plan, else nullopt.

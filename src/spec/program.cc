@@ -12,6 +12,11 @@ namespace nyx {
 namespace {
 constexpr uint32_t kWireMagic = 0x4e595842;  // "NYXB"
 constexpr uint8_t kWireVersion = 1;
+
+bool IsPacketOp(const Op& op, const Spec& spec) {
+  return !op.is_snapshot() && op.node_type < spec.node_type_count() &&
+         spec.node_type(op.node_type).semantic == NodeSemantic::kPacket;
+}
 }  // namespace
 
 uint64_t Program::OpsHash(size_t end_op) const {
@@ -136,8 +141,10 @@ std::optional<Program> Program::Parse(const Bytes& wire, const Spec& spec,
   return prog;
 }
 
-void Program::Repair(const Spec& spec) {
-  spec::ValueTable table;
+void Program::Repair(const Spec& spec, spec::ValueTable* scratch) {
+  spec::ValueTable local;
+  spec::ValueTable& table = scratch != nullptr ? *scratch : local;
+  table.values.clear();
   // Kept ops move down to `kept` in place, so the ops vector and the kept
   // ops' buffers are reused rather than rebuilt.
   size_t kept = 0;
@@ -227,7 +234,7 @@ void Program::Repair(const Spec& spec) {
     // Fault payloads additionally carry semantic range rules (valid kind,
     // bounded burst); clamp them to the nearest well-formed plan.
     if (node.semantic == NodeSemantic::kFault) {
-      op.data = FaultPlan::Sanitize(op.data).Encode();
+      FaultPlan::Sanitize(op.data).EncodeTo(op.data);
     }
     table.Produce(node);
     keep(op);
@@ -235,8 +242,9 @@ void Program::Repair(const Spec& spec) {
   ops.resize(kept);
 }
 
-std::vector<uint16_t> Program::LiveValues(const Spec& spec, size_t at, int edge_type) const {
-  spec::ValueTable table;
+void Program::LiveValues(const Spec& spec, size_t at, int edge_type, spec::ValueTable& table,
+                         std::vector<uint16_t>& live) const {
+  table.values.clear();
   const size_t end = std::min(at, ops.size());
   for (size_t i = 0; i < end; i++) {
     const Op& op = ops[i];
@@ -253,24 +261,26 @@ std::vector<uint16_t> Program::LiveValues(const Spec& spec, size_t at, int edge_
     }
     table.Produce(node);
   }
-  std::vector<uint16_t> live;
+  live.clear();
   for (size_t id = 0; id < table.values.size(); id++) {
     if (table.values[id].live && table.values[id].edge_type == edge_type) {
       live.push_back(static_cast<uint16_t>(id));
     }
   }
-  return live;
 }
 
-std::vector<size_t> Program::PacketOpIndices(const Spec& spec) const {
-  std::vector<size_t> out;
+void Program::PacketOpIndices(const Spec& spec, std::vector<size_t>& out) const {
+  out.clear();
   for (size_t i = 0; i < ops.size(); i++) {
-    if (!ops[i].is_snapshot() && ops[i].node_type < spec.node_type_count() &&
-        spec.node_type(ops[i].node_type).semantic == NodeSemantic::kPacket) {
+    if (IsPacketOp(ops[i], spec)) {
       out.push_back(i);
     }
   }
-  return out;
+}
+
+size_t Program::PacketCount(const Spec& spec) const {
+  return static_cast<size_t>(
+      std::count_if(ops.begin(), ops.end(), [&](const Op& op) { return IsPacketOp(op, spec); }));
 }
 
 void Program::StripSnapshotMarkers() {
@@ -280,14 +290,21 @@ void Program::StripSnapshotMarkers() {
 
 void Program::InsertSnapshotAfterPacket(const Spec& spec, size_t packet_index) {
   StripSnapshotMarkers();
-  const std::vector<size_t> packets = PacketOpIndices(spec);
-  if (packets.empty()) {
+  // The packet op with index `packet_index`, or the last one.
+  std::optional<size_t> after;
+  size_t seen = 0;
+  for (size_t i = 0; i < ops.size() && seen <= packet_index; i++) {
+    if (IsPacketOp(ops[i], spec)) {
+      after = i;
+      seen++;
+    }
+  }
+  if (!after.has_value()) {
     return;
   }
-  const size_t clamped = packet_index < packets.size() ? packet_index : packets.size() - 1;
   Op marker;
   marker.node_type = kSnapshotOpcode;
-  ops.insert(ops.begin() + static_cast<long>(packets[clamped]) + 1, std::move(marker));
+  ops.insert(ops.begin() + static_cast<long>(*after) + 1, std::move(marker));
 }
 
 std::optional<size_t> Program::SnapshotMarkerPos() const {

@@ -22,6 +22,7 @@ namespace nyx {
 
 namespace spec {
 struct Result;
+struct ValueTable;
 }  // namespace spec
 
 // Wire layout (program.cc): magic(4) version(1) op-count(2), then per op
@@ -66,25 +67,32 @@ struct Program {
   // the right type (or drops ops with no candidate), normalizes payloads to
   // their node's data kind, keeps only the first snapshot marker that
   // directly follows a kept packet op, and cuts the program at
-  // kMaxProgramOps.
-  void Repair(const Spec& spec);
+  // kMaxProgramOps. `scratch`, if given, is the live-value table to use; a
+  // caller that repairs often passes one so its storage is reused.
+  void Repair(const Spec& spec, spec::ValueTable* scratch = nullptr);
 
-  // Value ids of `edge_type` live immediately before op `at` (`at` past the
-  // end means end of program), in id order: the mutator's insertion-point
-  // binding map. Programs in the middle of a mutation are not valid yet, so
-  // this only assumes values are produced in op order: an op whose arity
-  // does not match its node type consumes nothing, and any other consumed
-  // id below the count of values produced so far dies, whatever its type.
-  std::vector<uint16_t> LiveValues(const Spec& spec, size_t at, int edge_type) const;
+  // Writes into `live` the value ids of `edge_type` live immediately before
+  // op `at` (`at` past the end means end of program), in id order: the
+  // mutator's insertion-point binding map. `table` is scratch. Programs in
+  // the middle of a mutation are not valid yet, so this only assumes values
+  // are produced in op order: an op whose arity does not match its node
+  // type consumes nothing, and any other consumed id below the count of
+  // values produced so far dies, whatever its type.
+  void LiveValues(const Spec& spec, size_t at, int edge_type, spec::ValueTable& table,
+                  std::vector<uint16_t>& live) const;
 
-  // Indices of ops that deliver payload (semantic kPacket). The "number of
-  // packets" the snapshot policies reason about.
-  std::vector<size_t> PacketOpIndices(const Spec& spec) const;
+  // Writes into `out` the indices of ops that deliver payload (semantic
+  // kPacket).
+  void PacketOpIndices(const Spec& spec, std::vector<size_t>& out) const;
+  // How many ops deliver payload: the "number of packets" the snapshot
+  // policies reason about.
+  size_t PacketCount(const Spec& spec) const;
 
   // Removes any snapshot marker ops.
   void StripSnapshotMarkers();
   // Inserts a snapshot marker directly after the packet with the given index
-  // (position within PacketOpIndices order).
+  // (position within PacketOpIndices order), or after the last packet when
+  // there are fewer.
   void InsertSnapshotAfterPacket(const Spec& spec, size_t packet_index);
   std::optional<size_t> SnapshotMarkerPos() const;
 

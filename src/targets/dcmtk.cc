@@ -12,6 +12,7 @@
 
 #include <cstring>
 
+#include "src/common/check.h"
 #include "src/targets/registry.h"
 #include "src/targets/textproto.h"
 
@@ -31,6 +32,8 @@ constexpr uint8_t kPduDataTf = 0x04;
 constexpr uint8_t kPduReleaseRq = 0x05;
 constexpr uint8_t kPduReleaseRp = 0x06;
 constexpr uint8_t kPduAbort = 0x07;
+// The longest PDU body the server sends (its A-ASSOCIATE-AC).
+constexpr uint32_t kMaxPduBody = 68;
 
 struct State {
   int listener;
@@ -294,13 +297,16 @@ class Dcmtk final : public Target {
     }
   }
 
+  // One PDU: type, reserved byte, big-endian body length, zero body.
   void SendPdu(GuestContext& ctx, State* st, uint8_t type, uint32_t body_len) {
-    Bytes pdu;
-    pdu.push_back(type);
-    pdu.push_back(0);
-    PutBe32(pdu, body_len);
-    pdu.resize(pdu.size() + body_len, 0);
-    ctx.net().Send(st->conn, pdu.data(), pdu.size());
+    NYX_DCHECK_LE(body_len, kMaxPduBody);
+    uint8_t pdu[6 + kMaxPduBody] = {type,
+                                    0,
+                                    static_cast<uint8_t>(body_len >> 24),
+                                    static_cast<uint8_t>(body_len >> 16),
+                                    static_cast<uint8_t>(body_len >> 8),
+                                    static_cast<uint8_t>(body_len)};
+    ctx.net().Send(st->conn, pdu, 6 + body_len);
   }
 
   void Reject(GuestContext& ctx, State* st, uint8_t reason) {

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "src/common/bytes.h"
+#include "src/common/check.h"
 #include "src/targets/registry.h"
 #include "src/targets/textproto.h"
 
@@ -21,6 +22,8 @@ constexpr uint64_t kAflnetExtraNs = 27'000'000;
 
 constexpr uint8_t kMsgKexInit = 20;
 constexpr uint8_t kMsgNewKeys = 21;
+// The longest packet body the server sends (its KEXDH_REPLY).
+constexpr uint32_t kMaxPacketBody = 96;
 constexpr uint8_t kMsgKexDhInit = 30;
 constexpr uint8_t kMsgServiceRequest = 5;
 constexpr uint8_t kMsgUserauthRequest = 50;
@@ -298,13 +301,18 @@ class OpenSsh final : public Target {
     }
   }
 
+  // One binary packet: big-endian length, padding length 0, type, zero
+  // body.
   void SendPacket(GuestContext& ctx, State* st, uint8_t type, uint32_t body) {
-    Bytes pkt;
-    PutBe32(pkt, body + 2);
-    pkt.push_back(0);  // padlen
-    pkt.push_back(type);
-    pkt.resize(pkt.size() + body, 0);
-    ctx.net().Send(st->conn, pkt.data(), pkt.size());
+    NYX_DCHECK_LE(body, kMaxPacketBody);
+    const uint32_t len = body + 2;
+    uint8_t pkt[6 + kMaxPacketBody] = {static_cast<uint8_t>(len >> 24),
+                                       static_cast<uint8_t>(len >> 16),
+                                       static_cast<uint8_t>(len >> 8),
+                                       static_cast<uint8_t>(len),
+                                       0,  // padlen
+                                       type};
+    ctx.net().Send(st->conn, pkt, 4 + len);
   }
 
   void Disconnect(GuestContext& ctx, State* st) {

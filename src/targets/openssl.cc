@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "src/common/bytes.h"
+#include "src/common/check.h"
 #include "src/targets/registry.h"
 #include "src/targets/textproto.h"
 
@@ -24,6 +25,8 @@ constexpr uint8_t kRecCcs = 20;
 constexpr uint8_t kRecAlert = 21;
 constexpr uint8_t kRecHandshake = 22;
 constexpr uint8_t kRecAppData = 23;
+// The longest handshake body the server sends (its Certificate).
+constexpr uint32_t kMaxHandshakeBody = 96;
 
 struct State {
   int listener;
@@ -346,17 +349,14 @@ class OpenSsl final : public Target {
     }
   }
 
+  // One handshake record: record header, handshake header, zero body.
   void SendHandshake(GuestContext& ctx, State* st, uint8_t type, uint32_t body_len) {
-    Bytes rec;
-    rec.push_back(kRecHandshake);
-    rec.push_back(3);
-    rec.push_back(3);
-    PutBe16(rec, static_cast<uint16_t>(4 + body_len));
-    rec.push_back(type);
-    rec.push_back(0);
-    PutBe16(rec, static_cast<uint16_t>(body_len));
-    rec.resize(rec.size() + body_len, 0);
-    ctx.net().Send(st->conn, rec.data(), rec.size());
+    NYX_DCHECK_LE(body_len, kMaxHandshakeBody);
+    const uint32_t msg_len = 4 + body_len;
+    uint8_t rec[5 + 4 + kMaxHandshakeBody] = {
+        kRecHandshake, 3, 3, static_cast<uint8_t>(msg_len >> 8), static_cast<uint8_t>(msg_len),
+        type, 0, static_cast<uint8_t>(body_len >> 8), static_cast<uint8_t>(body_len)};
+    ctx.net().Send(st->conn, rec, 5 + msg_len);
   }
 
   void Alert(GuestContext& ctx, State* st, uint8_t desc) {

@@ -322,7 +322,7 @@ int CmdPcap(const Args& args) {
     return 1;
   }
   printf("converted: %zu ops, %zu packets, %zu payload bytes\n", program->ops.size(),
-         program->PacketOpIndices(spec).size(), program->TotalDataBytes());
+         program->PacketCount(spec), program->TotalDataBytes());
   const std::string out = args.Get("workdir", "nyx-out");
   auto workdir = Workdir::Open(out);
   if (!workdir.has_value() || !workdir->SaveQueueEntry(*program, 0)) {

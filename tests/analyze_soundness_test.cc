@@ -88,7 +88,7 @@ TEST_P(AnalyzeSoundnessTest, TrimPreservesCoverageAndRepliesAuditClean) {
     Program p = RandomProgram(spec, rng);
     // Bias toward snapshot-bearing inputs: the incremental snapshot only
     // comes into play when the program carries a marker to key on.
-    if (!p.SnapshotMarkerPos().has_value() && !p.PacketOpIndices(spec).empty()) {
+    if (!p.SnapshotMarkerPos().has_value() && p.PacketCount(spec) > 0) {
       p.InsertSnapshotAfterPacket(spec, 0);
     }
 

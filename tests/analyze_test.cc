@@ -20,6 +20,13 @@
 namespace nyx {
 namespace {
 
+std::vector<uint16_t> LiveValues(const Program& p, const Spec& spec, size_t at, int edge_type) {
+  spec::ValueTable table;
+  std::vector<uint16_t> live = {0xffff};  // stale contents must be replaced
+  p.LiveValues(spec, at, edge_type, table, live);
+  return live;
+}
+
 TEST(AnalyzeTest, CorpusRejectsProgramEqualOnceMarkerStripped) {
   Spec spec = Spec::GenericNetwork();
   Corpus corpus(&spec);
@@ -101,16 +108,16 @@ TEST(AnalyzeTest, LiveValuesRespectCloseAndPosition) {
 
   const int conn_edge = 0;
   // Before op 2 only c1 exists; before op 4 (post-close) only c2 is live.
-  EXPECT_EQ(p.LiveValues(spec, 2, conn_edge), (std::vector<uint16_t>{0}));
-  EXPECT_EQ(p.LiveValues(spec, 3, conn_edge), (std::vector<uint16_t>{0, 1}));
-  EXPECT_EQ(p.LiveValues(spec, 4, conn_edge), (std::vector<uint16_t>{1}));
+  EXPECT_EQ(LiveValues(p, spec, 2, conn_edge), (std::vector<uint16_t>{0}));
+  EXPECT_EQ(LiveValues(p, spec, 3, conn_edge), (std::vector<uint16_t>{0, 1}));
+  EXPECT_EQ(LiveValues(p, spec, 4, conn_edge), (std::vector<uint16_t>{1}));
   // End-of-program query (and past it) and an unknown edge type.
-  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), conn_edge), (std::vector<uint16_t>{1}));
-  EXPECT_EQ(p.LiveValues(spec, p.ops.size() + 5, conn_edge), (std::vector<uint16_t>{1}));
-  EXPECT_TRUE(p.LiveValues(spec, 4, 99).empty());
+  EXPECT_EQ(LiveValues(p, spec, p.ops.size(), conn_edge), (std::vector<uint16_t>{1}));
+  EXPECT_EQ(LiveValues(p, spec, p.ops.size() + 5, conn_edge), (std::vector<uint16_t>{1}));
+  EXPECT_TRUE(LiveValues(p, spec, 4, 99).empty());
   // A marker produces and consumes nothing.
   p.InsertSnapshotAfterPacket(spec, 0);
-  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), conn_edge), (std::vector<uint16_t>{1}));
+  EXPECT_EQ(LiveValues(p, spec, p.ops.size(), conn_edge), (std::vector<uint16_t>{1}));
 }
 
 TEST(AnalyzeTest, LiveValuesInTheMiddleOfAMutation) {
@@ -148,12 +155,12 @@ TEST(AnalyzeTest, LiveValuesInTheMiddleOfAMutation) {
   p.ops.push_back(op(kLogout, {0}));       // consumes a conn as a session
   ASSERT_FALSE(spec::Verify(p, spec).ok());
 
-  EXPECT_EQ(p.LiveValues(spec, 3, session), (std::vector<uint16_t>{1}));
-  EXPECT_EQ(p.LiveValues(spec, 5, conn), (std::vector<uint16_t>{0, 2}));
+  EXPECT_EQ(LiveValues(p, spec, 3, session), (std::vector<uint16_t>{1}));
+  EXPECT_EQ(LiveValues(p, spec, 5, conn), (std::vector<uint16_t>{0, 2}));
   // The ill-typed consume still kills value 0; value 1 outlived the
   // wrong-arity logout.
-  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), conn), (std::vector<uint16_t>{2}));
-  EXPECT_EQ(p.LiveValues(spec, p.ops.size(), session), (std::vector<uint16_t>{1}));
+  EXPECT_EQ(LiveValues(p, spec, p.ops.size(), conn), (std::vector<uint16_t>{2}));
+  EXPECT_EQ(LiveValues(p, spec, p.ops.size(), session), (std::vector<uint16_t>{1}));
 }
 
 // A stream server built so that only a whole connection can be trimmed: a

@@ -156,7 +156,8 @@ TEST_F(EngineTest, DifferentPrefixInvalidatesIncremental) {
     b.Packet(first, std::string(line) + "\r\n");
   }
   const Program plain = *b.Build();
-  const std::vector<size_t> packets = plain.PacketOpIndices(spec_);
+  std::vector<size_t> packets;
+  plain.PacketOpIndices(spec_, packets);
   Program p = plain;
   p.InsertSnapshotAfterPacket(spec_, 3);
   ASSERT_TRUE(engine_.Run(p, cov_).created_incremental);

@@ -105,7 +105,8 @@ TEST(MutatorTest, NeverTouchesPrefix) {
   Spec spec = Spec::GenericNetwork();
   Program seed = FtpSeed(spec);
   Mutator mutator(spec, 99);
-  const auto packets = seed.PacketOpIndices(spec);
+  std::vector<size_t> packets;
+  seed.PacketOpIndices(spec, packets);
   const size_t first_mutable = packets[2] + 1;  // prefix: conn + 3 packets
 
   for (int trial = 0; trial < 300; trial++) {

@@ -253,6 +253,9 @@ TEST(NetEmuTest, ForkFdTableSurvivesSnapshotRestore) {
   const Bytes blob = s.net.Serialize();
   NetEmu decoded;
   ASSERT_TRUE(decoded.Deserialize(blob));
+  // The decoded queue holds only "TWO" while the original still stores the
+  // read "ONE" before its head: equality compares what is queued.
+  EXPECT_EQ(decoded.state(), saved);
 
   // Runs the tail: the child reads "TWO", both processes exit, and a fork
   // after the restore must mint a process id the snapshot never used.
@@ -273,6 +276,84 @@ TEST(NetEmuTest, ForkFdTableSurvivesSnapshotRestore) {
   s.net.Restore(saved);
   tail(s.net);
   tail(decoded);
+}
+
+TEST(NetEmuTest, RestoredSocketsComeBackCleared) {
+  // Sockets created after the snapshot are parked on restore and reused by
+  // the next connection; the reused socket must start empty.
+  ServerSetup s;
+  const NetEmu::State saved = s.net.state();
+  const int extra = s.net.QueueConnection(8080);
+  const int extra_fd = s.net.Accept(s.listener_fd);
+  ASSERT_GE(extra_fd, 0);
+  s.net.DeliverPacket(extra, ToBytes("UNREAD"));
+  s.net.Send(extra_fd, "REPLY", 5);
+  ASSERT_TRUE(s.net.QueueFault(extra, FaultPlan{FaultKind::kEagain, 3, 0}));
+  s.net.QueueConnection(8080);  // left in the backlog
+
+  s.net.Restore(saved);
+  EXPECT_EQ(s.net.state(), saved);
+  EXPECT_EQ(s.net.UndeliveredBytes(), 0u);
+
+  // The same connection on an emulator that never saw the extra sockets.
+  ServerSetup fresh;
+  for (NetEmu* net : {&s.net, &fresh.net}) {
+    const int conn = net->QueueConnection(8080);
+    EXPECT_EQ(conn, extra);
+    const int fd = net->Accept(s.listener_fd);
+    EXPECT_EQ(fd, extra_fd);
+    EXPECT_TRUE(net->Sent(conn).empty());
+    char buf[8];
+    EXPECT_EQ(net->Recv(fd, buf, sizeof(buf)), kErrAgain);  // no stale fault, no stale bytes
+  }
+  EXPECT_EQ(s.net.state(), fresh.net.state());
+}
+
+TEST(NetEmuTest, PrintToSummarizesSocketsAndFds) {
+  ServerSetup s;
+  s.net.DeliverPacket(s.conn, ToBytes("HELLO"));
+  s.net.Send(s.conn_fd, "220 ok\r\n", 8);
+  s.net.Send(s.conn_fd, "331\r\n", 5);
+  ASSERT_TRUE(s.net.QueueFault(s.conn, FaultPlan{FaultKind::kShortRead, 1, 2}));
+  EXPECT_EQ(::testing::PrintToString(s.net.state()),
+            "{sock0=listener:8080 ref 1 rx 0p/0B tx 0p/0B faults 0 backlog 0; "
+            "sock1=stream:8080 ref 1 rx 1p/5B tx 2p/13B faults 1; "
+            "open fds [0->sock0/p0 1->sock1/p0] process 0 next 1}");
+}
+
+TEST(PacketQueueTest, EqualityComparesQueuedPacketsNotStorage) {
+  PacketQueue a;
+  a.Push(ToBytes("AB"));
+  a.Push(ToBytes("CD"));
+  a.PopFront();
+  PacketQueue b;
+  b.Push(ToBytes("CD"));
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.bytes(), 2u);
+  EXPECT_EQ(ToString(a.front()), "CD");
+  // The same bytes with other packet boundaries are a different queue.
+  PacketQueue c;
+  c.Push(ToBytes("C"));
+  c.Push(ToBytes("D"));
+  EXPECT_FALSE(a == c);
+  // Popping the last packet empties the storage.
+  a.PopFront();
+  EXPECT_TRUE(a.empty());
+  EXPECT_TRUE(a == PacketQueue{});
+}
+
+TEST(FifoTest, EqualityComparesQueuedElementsNotStorage) {
+  Fifo<int> a;
+  a.Push(1);
+  a.Push(2);
+  a.PopFront();
+  Fifo<int> b;
+  b.Push(2);
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.front(), 2);
+  b.Push(3);
+  EXPECT_FALSE(a == b);
 }
 
 TEST(NetEmuTest, DeserializeRejectsGarbage) {

@@ -164,7 +164,8 @@ TEST(PcapSeedTest, EndToEndTcpCrlf) {
   auto prog = ProgramFromPcap(spec, raw, 21, SplitStrategy::kCrlf);
   ASSERT_TRUE(prog.has_value());
   EXPECT_TRUE(spec::Verify(*prog, spec).ok());
-  auto packets = prog->PacketOpIndices(spec);
+  std::vector<size_t> packets;
+  prog->PacketOpIndices(spec, packets);
   ASSERT_EQ(packets.size(), 2u);
   EXPECT_EQ(ToString(prog->ops[packets[0]].data), "USER anon\r\n");
   EXPECT_EQ(ToString(prog->ops[packets[1]].data), "PASS x\r\n");
@@ -178,7 +179,8 @@ TEST(PcapSeedTest, UdpDatagramsKeepBoundaries) {
   Spec spec = Spec::GenericNetwork();
   auto prog = ProgramFromPcap(spec, raw, 53, SplitStrategy::kCrlf);
   ASSERT_TRUE(prog.has_value());
-  auto packets = prog->PacketOpIndices(spec);
+  std::vector<size_t> packets;
+  prog->PacketOpIndices(spec, packets);
   ASSERT_EQ(packets.size(), 2u);
   EXPECT_EQ(ToString(prog->ops[packets[0]].data), "query-1");
 }
@@ -200,7 +202,8 @@ TEST(PcapSeedTest, SegmentStrategyUsesCaptureOrder) {
   Spec spec = Spec::GenericNetwork();
   auto prog = ProgramFromPcap(spec, raw, 3306, SplitStrategy::kSegment);
   ASSERT_TRUE(prog.has_value());
-  auto packets = prog->PacketOpIndices(spec);
+  std::vector<size_t> packets;
+  prog->PacketOpIndices(spec, packets);
   ASSERT_EQ(packets.size(), 2u);
   EXPECT_EQ(ToString(prog->ops[packets[0]].data), "AA");
   EXPECT_EQ(ToString(prog->ops[packets[1]].data), "BBB");

@@ -39,7 +39,8 @@ TEST_P(TargetRobustnessTest, GarbagePacketsNeverEscapeGuestMemory) {
       // Mix pure garbage with protocol-shaped prefixes to reach deeper code.
       if (rng.Chance(1, 3) && !seeds.empty()) {
         const Program& seed = seeds[0];
-        const auto idx = seed.PacketOpIndices(spec);
+        std::vector<size_t> idx;
+        seed.PacketOpIndices(spec, idx);
         if (!idx.empty()) {
           data = seed.ops[idx[rng.Below(idx.size())]].data;
         }

@@ -285,8 +285,10 @@ TEST(ProgramTest, RepairBindsEachConsumeToItsOwnValue) {
 TEST(ProgramTest, PacketIndicesAndSnapshotInsertion) {
   Spec spec = Spec::GenericNetwork();
   Program p = MakeSeed(spec, 3);
-  auto packets = p.PacketOpIndices(spec);
+  std::vector<size_t> packets;
+  p.PacketOpIndices(spec, packets);
   ASSERT_EQ(packets.size(), 3u);
+  EXPECT_EQ(p.PacketCount(spec), 3u);
   EXPECT_EQ(packets[0], 1u);
 
   p.InsertSnapshotAfterPacket(spec, 0);

@@ -47,8 +47,8 @@ TEST(HostStateAuditTest, NetEmuDifferenceIsNamedSocketTable) {
   // Each kind of NetEmu difference: a queued packet, a queued fault, and a
   // field outside the sockets.
   std::vector<StateFingerprint> variants(3, a);
-  variants[0].net.sockets[1].rx.push_back(ToBytes("pending"));
-  variants[1].net.sockets[1].faults.push_back({FaultPlan{FaultKind::kEagain, 2, 0}, 2});
+  variants[0].net.sockets[1].rx.Push(ToBytes("pending"));
+  variants[1].net.sockets[1].faults.Push({FaultPlan{FaultKind::kEagain, 2, 0}, 2});
   variants[2].net.next_process++;
   for (const StateFingerprint& b : variants) {
     const auto found = CompareBoth(a, b);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "src/common/hash.h"
 #include "src/fuzz/engine.h"
 #include "src/spec/builder.h"
 #include "src/spec/verify.h"
@@ -69,6 +72,49 @@ TEST_P(AllTargetsTest, SeedsAreDeterministic) {
   ExecResult rb = engine.Run(seed, b);
   EXPECT_EQ(a.map(), b.map()) << GetParam();
   EXPECT_EQ(ra.vtime_ns, rb.vtime_ns) << GetParam();
+}
+
+// FNV-1a over every reply the target sends to its seeds: per seed the
+// packet count, then each packet's size and bytes.
+uint64_t SeedResponsesHash(const std::string& target) {
+  auto reg = FindTarget(target);
+  Spec spec = reg->make_spec();
+  NyxEngine engine(SmallEngineConfig(), reg->factory, spec);
+  engine.Boot();
+  uint64_t h = Fnv1a64(nullptr, 0);
+  for (const Program& seed : reg->make_seeds(spec)) {
+    CoverageMap cov;
+    engine.Run(seed, cov);
+    const std::vector<Bytes> responses = engine.LastResponses();
+    const uint64_t count = responses.size();
+    h = Fnv1a64(&count, sizeof(count), h);
+    for (const Bytes& packet : responses) {
+      const uint64_t size = packet.size();
+      h = Fnv1a64(&size, sizeof(size), h);
+      h = Fnv1a64(packet.data(), packet.size(), h);
+    }
+  }
+  return h;
+}
+
+// The replies each target sends to its seeds, pinned by hash: how NetEmu
+// stores its send log and how a target builds a reply may change, the bytes
+// on the wire may not.
+TEST_P(AllTargetsTest, SeedsSendRecordedResponses) {
+  const std::map<std::string, uint64_t> kRecorded = {
+      {"bftpd", 0x5219bde32c750c23ull},        {"dcmtk", 0xf824c3b97b581985ull},
+      {"dnsmasq", 0x52bac6ffbae37c43ull},      {"exim", 0x08207497c262a7baull},
+      {"forked-daapd", 0x2059901a54f1cd45ull}, {"kamailio", 0x5708a595bd13227full},
+      {"lightftp", 0x887d529751a8c0e2ull},     {"live555", 0x9847c5af78496a9eull},
+      {"openssh", 0x2c7e2d6c56f94746ull},      {"openssl", 0x410501b4ed2ba119ull},
+      {"proftpd", 0xe9dcc944eb6394bfull},      {"pure-ftpd", 0x148adf8f460fbed5ull},
+      {"tinydtls", 0x6b18e9644987e964ull},     {"lighttpd", 0x43212733fc0d2fe9ull},
+      {"mysql-client", 0x3edb655e27cb346dull}, {"firefox-ipc", 0x8d5aa4036454d0c1ull},
+  };
+  const auto it = kRecorded.find(GetParam());
+  ASSERT_NE(it, kRecorded.end()) << GetParam() << " has no recorded hash";
+  EXPECT_EQ(SeedResponsesHash(GetParam()), it->second)
+      << GetParam() << " sent different bytes to its seeds";
 }
 
 std::vector<std::string> TargetNames() {
